@@ -1,5 +1,6 @@
 # Verification entry points. `make verify` is the tier-1 gate: gofmt,
-# vet, build, full test suite, then the race detector over the packages
+# vet, build, full test suite, the benchmark module's vet and short
+# tests (perfbench), then the race detector over the packages
 # with concurrency (the probe scheduler, the thread-safe simulator, and
 # the campaign that drives them in parallel), the fault-plane gates
 # (fast-path equivalence, zero-fault golden equivalence, and the
@@ -13,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: verify build test fmt vet race race-infer race-regiond equivalence chaos crash fib-diff bench bench-mem bench-sched bench-diff bench-scale bench-window fuzz-seg serve-bench profile clean
+.PHONY: verify build test fmt vet perfbench race race-infer race-regiond equivalence chaos crash fib-diff bench bench-mem bench-sched bench-diff bench-scale bench-window fuzz-seg serve-bench profile clean
 
-verify: fmt vet build test race race-infer race-regiond equivalence chaos crash fib-diff fuzz-seg bench-mem serve-bench bench-scale bench-window
+verify: fmt vet build test perfbench race race-infer race-regiond equivalence chaos crash fib-diff fuzz-seg bench-mem serve-bench bench-scale bench-window
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark driver is its own module (perfbench/go.mod), so the
+# root `go build ./...` never compiles it: vet and short-test it here
+# so an API change that breaks the benchmark fails verify.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 race:
 	$(GO) test -race ./internal/netsim/... ./internal/probesched/... ./internal/comap/... ./internal/snapshot/...

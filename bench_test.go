@@ -368,7 +368,7 @@ func BenchmarkFigure16_IPv6Fields(b *testing.B) {
 	var a *mobilemap.Analysis
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = mobilemap.Analyze(st.Rounds("att-mobile"), st.Scenario.DNS)
+		a = mobilemap.AnalyzeParallel(st.Rounds("att-mobile"), st.Scenario.DNS, 1)
 	}
 	b.StopTimer()
 	_ = a

@@ -30,7 +30,7 @@ func main() {
 	stAny, err := core.NewStudy("att", cfg.Seed, cfg.Options()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "attmap:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	st := stAny.(*core.ATTStudy)
 	res := st.Result()

@@ -74,6 +74,10 @@ func main() {
 	if *killAfter > 0 {
 		os.Exit(runKillResume(cfg, *isp, *killAfter))
 	}
+	if cfg.Durable {
+		fmt.Fprintln(os.Stderr, "chaossweep: -durable applies only to the -kill-after smoke")
+		os.Exit(2)
+	}
 	losses, err := parseGrid(*grid)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaossweep:", err)
@@ -117,16 +121,16 @@ func main() {
 		if cfg.Scaled() {
 			opts = append(opts, core.WithScale(cfg.ScaleValue()))
 		}
-		if cfg.TraceWindow > 0 {
+		if cfg.TraceWindow != 0 {
 			opts = append(opts, core.WithTraceWindow(cfg.TraceWindow))
-			if cfg.SpillDir != "" {
-				opts = append(opts, core.WithSpillDir(cfg.SpillDir))
-			}
+		}
+		if cfg.SpillDir != "" {
+			opts = append(opts, core.WithSpillDir(cfg.SpillDir))
 		}
 		stAny, err := core.NewStudy("cable", cfg.Seed, opts...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chaossweep:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		st := stAny.(*core.CableStudy)
 		res := st.Result(*isp)
@@ -267,6 +271,9 @@ func runKillResume(cfg cli.Config, isp string, killAfter int) int {
 
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "chaossweep:", err)
+		if errors.Is(err, core.ErrInvalidConfig) {
+			return 2
+		}
 		return 1
 	}
 	mkdir := func(label string) (string, error) {

@@ -43,7 +43,7 @@ func launch(name string, seed int64, cfg *cli.Config) core.Study {
 	st, err := core.NewStudy(name, seed, cfg.Options()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "papertables:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	return st
 }

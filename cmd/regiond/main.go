@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 )
 
 func main() {
@@ -78,6 +79,9 @@ func main() {
 	start := time.Now()
 	if err := svc.bootstrap(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "regiond:", err)
+		if errors.Is(err, core.ErrInvalidConfig) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "regiond: snapshot v1 ready for %v in %v\n",

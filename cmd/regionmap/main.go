@@ -56,7 +56,7 @@ func main() {
 	stAny, err := core.NewStudy("cable", cfg.Seed, cfg.Options()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "regionmap:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	st := stAny.(*core.CableStudy)
 	res := st.Result(*isp)

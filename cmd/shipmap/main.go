@@ -32,7 +32,7 @@ func main() {
 	stAny, err := core.NewStudy("mobile", cfg.Seed, cfg.Options()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shipmap:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	st := stAny.(*core.MobileStudy)
 

@@ -276,13 +276,13 @@ func (c *Campaign) Run() *Result {
 			}
 		}
 	}
-	eng.FoldTraces(pool, jobs, func(j int, tr traceroute.Trace) {
+	for j, tr := range eng.Traces(pool, jobs) {
 		res.Stats.Add(tr.Stats())
 		breaker.Record(tr.Src, len(tr.ResponsiveHops()) == 0)
 		code := jobCode[j]
 		tag := backboneTag(c.DNS, tr)
 		if tag == "" {
-			return
+			continue
 		}
 		if res.CodeToTag[code] == "" {
 			res.CodeToTag[code] = tag
@@ -293,7 +293,7 @@ func (c *Campaign) Run() *Result {
 			}
 			edge24s[tag][pfx] = true
 		}
-	})
+	}
 
 	// Bootstrap VPs with zero yield are benched before the DPR waves;
 	// quarantine decisions run on the in-order fold above, so the list

@@ -46,8 +46,7 @@ func (c *Campaign) MeasureEdgeLatency(vm netip.Addr, customers []netip.Addr, reg
 		traceJobs[i] = probesched.Request{Src: vm, Dst: cust}
 	}
 	var pingJobs []probesched.Request
-	for i, res := range pool.Fan(eng, traceJobs) {
-		tr := res.(traceroute.Trace)
+	for i, tr := range eng.Traces(pool, traceJobs) {
 		// The customer itself is silent; require a responsive
 		// penultimate device after this region's backbone.
 		if !crossesBackbone(c, tr, regionTag) {
@@ -61,8 +60,7 @@ func (c *Campaign) MeasureEdgeLatency(vm netip.Addr, customers []netip.Addr, reg
 			Src: vm, Dst: customers[i], TTL: last.TTL, Count: pings,
 		})
 	}
-	for i, res := range pool.Fan(pinger, pingJobs) {
-		po := res.(ping.Outcome)
+	for i, po := range pinger.Outcomes(pool, pingJobs) {
 		min, ok := po.Min()
 		if !ok || !po.From.IsValid() {
 			continue
@@ -104,8 +102,7 @@ func (c *Campaign) PathCoverage(vps []netip.Addr, targets []netip.Addr) int {
 	// The interner doubles as the dedup set: distinct path keys get
 	// distinct symbols, so the table length IS the distinct-path count.
 	seen := symtab.New(0)
-	for _, res := range pool.Fan(eng, jobs) {
-		tr := res.(traceroute.Trace)
+	for _, tr := range eng.Traces(pool, jobs) {
 		hops := tr.ResponsiveHops()
 		if len(hops) < 2 {
 			continue

@@ -123,11 +123,13 @@ func (c *Config) BindProfiles(fs *flag.FlagSet, cpuUsage ...string) {
 // every cmd previously hand-rolled: parallelism and probe budget
 // always; a fault plan (seeded by the scenario seed) only when -loss or
 // -icmp-rate is set; the resilient-probing policy (200ms backoff,
-// breaker threshold 10) only when -retries is set. extra options append
-// after the shared ones.
+// breaker threshold 10) only when -retries is set; each windowing knob
+// whenever it is set. extra options append after the shared ones.
+// Out-of-range or contradictory values are forwarded as given, so
+// core.NewStudy rejects them instead of the bridge dropping them.
 func (c *Config) Options(extra ...core.Option) []core.Option {
 	opts := []core.Option{core.WithParallelism(c.Parallel), core.WithProbeBudget(c.Budget)}
-	if c.Loss > 0 || c.ICMPRate > 0 {
+	if c.Loss != 0 || c.ICMPRate != 0 {
 		opts = append(opts, core.WithFaults(netsim.FaultPlan{
 			Seed: uint64(c.Seed), LinkLoss: c.Loss, ICMPRate: c.ICMPRate,
 		}))
@@ -142,14 +144,14 @@ func (c *Config) Options(extra ...core.Option) []core.Option {
 	if c.Scaled() {
 		opts = append(opts, core.WithScale(c.ScaleValue()))
 	}
-	if c.TraceWindow > 0 {
+	if c.TraceWindow != 0 {
 		opts = append(opts, core.WithTraceWindow(c.TraceWindow))
-		if c.SpillDir != "" {
-			opts = append(opts, core.WithSpillDir(c.SpillDir))
-		}
-		if c.Durable {
-			opts = append(opts, core.WithDurable())
-		}
+	}
+	if c.SpillDir != "" {
+		opts = append(opts, core.WithSpillDir(c.SpillDir))
+	}
+	if c.Durable {
+		opts = append(opts, core.WithDurable())
 	}
 	return append(opts, extra...)
 }

@@ -1,6 +1,7 @@
 package cli_test
 
 import (
+	"errors"
 	"flag"
 	"reflect"
 	"testing"
@@ -99,4 +100,52 @@ func TestExtraOptionsAppend(t *testing.T) {
 	if p != 9 {
 		t.Errorf("extra option did not override: parallelism = %d, want 9", p)
 	}
+}
+
+// TestStudyRejectsDroppedOrContradictoryFlags: flag combinations the
+// bridge used to drop silently (or that crashed deep in a campaign)
+// must reach core.NewStudy and be rejected there, with a named error,
+// before any topology is built.
+func TestStudyRejectsDroppedOrContradictoryFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want error
+	}{
+		{"durable spill without window", []string{"-durable", "-spill-dir", "d"}, core.ErrDurableNeedsWindow},
+		{"durable window without spill dir", []string{"-durable", "-trace-window", "64"}, core.ErrDurableNeedsSpillDir},
+		{"spill dir without window", []string{"-spill-dir", "d"}, core.ErrSpillDirNeedsWindow},
+		{"negative window", []string{"-trace-window", "-1"}, core.ErrNegativeTraceWindow},
+		{"negative loss", []string{"-loss", "-0.1"}, core.ErrFaultRate},
+		{"loss above one", []string{"-loss", "1.5"}, core.ErrFaultRate},
+		{"negative icmp rate", []string{"-icmp-rate", "-2"}, core.ErrFaultRate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg cli.Config
+			fs := bindAll(&cfg)
+			cfg.BindWindow(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			st, err := core.NewStudy("cable", cfg.Seed, cfg.Options()...)
+			if !errors.Is(err, tc.want) || !errors.Is(err, core.ErrInvalidConfig) {
+				t.Fatalf("NewStudy error = %v, want %v", err, tc.want)
+			}
+			if st != nil {
+				t.Fatal("NewStudy returned a study alongside its error")
+			}
+		})
+	}
+}
+
+// TestStudyAcceptsKillResumeShape: the option set the chaossweep
+// -kill-after smoke builds for -trace-window 16 (window, explicit spill
+// dir, durable) is valid.
+func TestStudyAcceptsKillResumeShape(t *testing.T) {
+	st, err := core.NewStudy("cable", 7, core.WithTraceWindow(16),
+		core.WithSpillDir(t.TempDir()), core.WithDurable())
+	if err != nil {
+		t.Fatalf("NewStudy rejected the kill-resume shape: %v", err)
+	}
+	st.(*core.CableStudy).Close()
 }

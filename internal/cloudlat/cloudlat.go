@@ -77,12 +77,12 @@ func (s *Study) ClosestVM(provider string, targets []netip.Addr) (VM, bool) {
 			jobs = append(jobs, probesched.Request{Src: cands[i].vm.Addr, Dst: t, Count: s.pings()})
 		}
 	}
-	outs := pool.Fan(p, jobs)
+	outs := p.Outcomes(pool, jobs)
 	for ti := range targets {
 		best := -1
 		var bestRTT time.Duration
 		for i := range cands {
-			rtt, ok := outs[ti*len(cands)+i].(ping.Outcome).Min()
+			rtt, ok := outs[ti*len(cands)+i].Min()
 			if !ok {
 				continue
 			}
@@ -143,8 +143,8 @@ func (s *Study) Figure9(providers []string, targetsByState map[string][]netip.Ad
 			}
 		}
 		msByState := map[string][]float64{}
-		for j, out := range pool.Fan(p, jobs) {
-			if rtt, ok := out.(ping.Outcome).Min(); ok {
+		for j, out := range p.Outcomes(pool, jobs) {
+			if rtt, ok := out.Min(); ok {
 				msByState[jobState[j]] = append(msByState[jobState[j]], float64(rtt)/float64(time.Millisecond))
 			}
 		}

@@ -448,7 +448,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			}
 		}
 		submitted += len(jobs)
-		eng.FoldTracesColumnar(pool, jobs, func(_ int, tv traceroute.TraceView) {
+		eng.FoldTraces(pool, jobs, func(_ int, tv traceroute.TraceView) {
 			// Count responsive hops first: all-timeout traces (most of
 			// the /24 sweep) are dropped without allocating, and kept
 			// paths get exactly-sized slices. Hop rows live in the

@@ -32,15 +32,10 @@ func regionOf(key string) (string, bool) {
 	return key[:i], true
 }
 
-// BuildGraphs runs Phase 2 of the pipeline (§5.2) sequentially: extract
-// CO adjacencies, prune noise, identify AggCOs, repair the ring/star
-// structure, and infer entry points.
-func BuildGraphs(col *Collection, m *Mapping) *Inference {
-	return BuildGraphsParallel(col, m, 1)
-}
-
-// BuildGraphsParallel is BuildGraphs with the adjacency-record pass and
-// the entry-inference path scan sharded across workers (0 selects
+// BuildGraphsParallel runs Phase 2 of the pipeline (§5.2): extract CO
+// adjacencies, prune noise, identify AggCOs, repair the ring/star
+// structure, and infer entry points. The adjacency-record pass and the
+// entry-inference path scan are sharded across workers (0 selects
 // GOMAXPROCS) as shard-accumulate-merge passes: contiguous path shards
 // accumulate private IP-adjacency and CO-path maps, merged in shard
 // order. The merged maps are identical at any worker count because

@@ -42,16 +42,10 @@ func (m *Mapping) backboneSym(s symtab.Sym) bool {
 	return isBackboneKey(m.Syms.Str(s))
 }
 
-// BuildMapping runs Appendix B.1 sequentially: initial rDNS mapping
-// (dig priority), alias-group majority remapping, and point-to-point-
-// subnet refinement.
-func BuildMapping(col *Collection, dns *dnsdb.DB, isp string) *Mapping {
-	return BuildMappingParallel(col, dns, isp, 1)
-}
-
-// BuildMappingParallel is BuildMapping with the rDNS sweep, the p2p-bit
-// census, and the mate-vote scan sharded across workers (0 selects
-// GOMAXPROCS). The output is byte-identical at any worker count: every
+// BuildMappingParallel runs Appendix B.1: initial rDNS mapping (dig
+// priority), alias-group majority remapping, and point-to-point-subnet
+// refinement, with the rDNS sweep, the p2p-bit census, and the
+// mate-vote scan sharded across workers (0 selects GOMAXPROCS). The output is byte-identical at any worker count: every
 // sharded pass accumulates into per-shard sets or same-key-same-value
 // maps whose union is independent of shard boundaries, and every
 // order-sensitive step (majority votes, stats, final application) runs

@@ -101,7 +101,7 @@ func TestEnumerate24s(t *testing.T) {
 }
 
 // TestInitialMappingPriorities verifies dig-over-snapshot priority and
-// ISP filtering in BuildMapping's first stage.
+// ISP filtering in BuildMappingParallel's first stage.
 func TestInitialMappingPriorities(t *testing.T) {
 	dns := dnsdb.New()
 	// Address with a fresh live name and a stale snapshot name.
@@ -119,7 +119,7 @@ func TestInitialMappingPriorities(t *testing.T) {
 		FalsePairs:  map[[2]netip.Addr]bool{},
 		DirectPairs: map[[2]netip.Addr]bool{},
 	}
-	m := BuildMapping(col, dns, "comcast")
+	m := BuildMappingParallel(col, dns, "comcast", 1)
 	if got := m.CO[a("10.0.0.1")]; got != "bverton/fresh.or" {
 		t.Errorf("priority mapping = %q, want the live name's CO", got)
 	}
@@ -169,7 +169,7 @@ func TestSubnetRefinementVote(t *testing.T) {
 	// Make the mates visible to the mapping universe via alias targets.
 	col.AliasTargets = []netip.Addr{a("10.0.0.6"), a("10.0.0.10")}
 
-	m := BuildMapping(col, dns, "comcast")
+	m := BuildMappingParallel(col, dns, "comcast", 1)
 	if got := m.CO[a("10.0.0.1")]; got != "socalx/cotwo.ca" {
 		t.Errorf("x remapped to %q, want CO2 (Fig. 19)", got)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/netsim"
@@ -141,6 +143,38 @@ func buildConfig(opts []Option) Config {
 		o(&c)
 	}
 	return c
+}
+
+// Option combinations NewStudy rejects before building anything. Each
+// wraps ErrInvalidConfig, so callers can tell a usage error from a
+// failed run with one errors.Is.
+var (
+	ErrInvalidConfig        = errors.New("core: invalid study config")
+	ErrNegativeTraceWindow  = fmt.Errorf("%w: trace window must not be negative", ErrInvalidConfig)
+	ErrSpillDirNeedsWindow  = fmt.Errorf("%w: a spill dir requires a trace window", ErrInvalidConfig)
+	ErrDurableNeedsWindow   = fmt.Errorf("%w: durable spill requires a trace window", ErrInvalidConfig)
+	ErrDurableNeedsSpillDir = fmt.Errorf("%w: durable spill requires an explicit spill dir", ErrInvalidConfig)
+	ErrFaultRate            = fmt.Errorf("%w: link loss must lie in [0,1] and the ICMP rate must not be negative", ErrInvalidConfig)
+)
+
+// validate rejects option combinations that would otherwise be silently
+// dropped (a spill dir or durability without windowing), crash deep in
+// a campaign (durability without a spill dir), or feed the fault plane
+// meaningless rates.
+func (c Config) validate() error {
+	switch {
+	case c.TraceWindow < 0:
+		return ErrNegativeTraceWindow
+	case c.Durable && c.TraceWindow == 0:
+		return ErrDurableNeedsWindow
+	case c.Durable && c.SpillDir == "":
+		return ErrDurableNeedsSpillDir
+	case c.SpillDir != "" && c.TraceWindow == 0:
+		return ErrSpillDirNeedsWindow
+	case c.Faults != nil && (c.Faults.LinkLoss < 0 || c.Faults.LinkLoss > 1 || c.Faults.ICMPRate < 0):
+		return ErrFaultRate
+	}
+	return nil
 }
 
 // installFaults applies the WithFaults plan (if any) to a freshly-built

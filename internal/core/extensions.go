@@ -127,7 +127,7 @@ func (st *MobileStudy) RunPauseAblation() PauseAblationResult {
 	paused, pausedE := run(true)
 
 	exact := func(rounds []ship.Round) int {
-		a := mobilemap.Analyze(rounds, st.Scenario.DNS)
+		a := mobilemap.AnalyzeParallel(rounds, st.Scenario.DNS, st.cfg.Parallelism)
 		truth := st.Carriers["att-mobile"]
 		n := 0
 		for _, reg := range truth.Regions {

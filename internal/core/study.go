@@ -84,12 +84,17 @@ func RegisterStudy(name string, b StudyBuilder) {
 	studyRegistry[name] = b
 }
 
-// NewStudy builds the named study for a seed, or errors with the known
-// names when the name is not registered.
+// NewStudy builds the named study for a seed. It errors with the known
+// names when the name is not registered, and with an ErrInvalidConfig
+// error — before building the topology — when the options contradict
+// each other (see Config.validate).
 func NewStudy(name string, seed int64, opts ...Option) (Study, error) {
 	b, ok := studyRegistry[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown study %q (known: %v)", name, StudyNames())
+	}
+	if err := buildConfig(opts).validate(); err != nil {
+		return nil, err
 	}
 	return b(seed, opts...), nil
 }

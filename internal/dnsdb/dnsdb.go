@@ -32,7 +32,7 @@ type DB struct {
 	live     map[netip.Addr]symtab.Sym
 	snapshot map[netip.Addr]symtab.Sym
 	// sorted is the lazily built address-ordered snapshot index that
-	// ScanSnapshot filters; nil means stale (rebuilt on next scan).
+	// ScanSnapshotParallel filters; nil means stale (rebuilt on next scan).
 	// Mutators invalidate it, so the per-scan cost is one pass over the
 	// index instead of a fresh sort of the whole snapshot every call.
 	sorted []Entry
@@ -118,16 +118,12 @@ func (d *DB) sortedIndex() []Entry {
 	return d.sorted
 }
 
-// ScanSnapshot returns every snapshot entry whose hostname matches re,
-// sorted by address; this is the paper's Rapid7-based target selection.
-// Successive scans (campaigns run one per stage per operator) share one
-// lazily built sorted index instead of re-sorting the snapshot per call.
-func (d *DB) ScanSnapshot(re *regexp.Regexp) []Entry {
-	return d.ScanSnapshotParallel(re, 1)
-}
-
-// ScanSnapshotParallel is ScanSnapshot with the regex filter sharded
-// across workers (0 selects GOMAXPROCS): contiguous index shards
+// ScanSnapshotParallel returns every snapshot entry whose hostname
+// matches re, sorted by address; this is the paper's Rapid7-based
+// target selection. Successive scans (campaigns run one per stage per
+// operator) share one lazily built sorted index instead of re-sorting
+// the snapshot per call. The regex filter is sharded across workers
+// (0 selects GOMAXPROCS): contiguous index shards
 // collect their hits privately and the per-shard hit lists concatenate
 // in shard order, so the output is the same address-sorted entry list
 // at any worker count. The index build itself stays serial (one sort,

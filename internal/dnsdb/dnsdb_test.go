@@ -55,7 +55,7 @@ func TestSetEmptyDeletes(t *testing.T) {
 	}
 }
 
-func TestScanSnapshot(t *testing.T) {
+func TestScanSnapshotParallel(t *testing.T) {
 	d := New()
 	for i := 0; i < 20; i++ {
 		d.SetSnapshot(a(fmt.Sprintf("10.0.0.%d", i+1)), fmt.Sprintf("host-%d.lightspeed.sndgca.sbcglobal.net", i))
@@ -64,13 +64,15 @@ func TestScanSnapshot(t *testing.T) {
 		d.SetSnapshot(a(fmt.Sprintf("10.0.1.%d", i+1)), fmt.Sprintf("cr%d.sd2ca.ip.att.net", i))
 	}
 	re := regexp.MustCompile(`\.lightspeed\.[a-z]{6}\.sbcglobal\.net$`)
-	got := d.ScanSnapshot(re)
-	if len(got) != 20 {
-		t.Fatalf("matched %d entries, want 20", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if !got[i-1].Addr.Less(got[i].Addr) {
-			t.Fatal("scan results not sorted by address")
+	for _, workers := range []int{1, 4} {
+		got := d.ScanSnapshotParallel(re, workers)
+		if len(got) != 20 {
+			t.Fatalf("workers=%d: matched %d entries, want 20", workers, len(got))
+		}
+		for i := 1; i < len(got); i++ {
+			if !got[i-1].Addr.Less(got[i].Addr) {
+				t.Fatalf("workers=%d: scan results not sorted by address", workers)
+			}
 		}
 	}
 	if d.SnapshotSize() != 25 || d.LiveSize() != 0 {

@@ -106,15 +106,9 @@ type Analysis struct {
 // movement; tower-location quantization stays well below it.
 const moveThresholdKm = 40
 
-// Analyze infers the carrier structure from measurement rounds,
-// sequentially.
-func Analyze(rounds []ship.Round, dns *dnsdb.DB) *Analysis {
-	return AnalyzeParallel(rounds, dns, 1)
-}
-
-// AnalyzeParallel is Analyze with the per-nibble statistics sweep and
-// the router-field candidate scan sharded across workers (0 selects
-// GOMAXPROCS). Each nibble position and each candidate bit range is
+// AnalyzeParallel infers the carrier structure from measurement
+// rounds, with the per-nibble statistics sweep and the router-field
+// candidate scan sharded across workers (0 selects GOMAXPROCS). Each nibble position and each candidate bit range is
 // evaluated independently over the (read-only) rounds, and the merge
 // walks shards in canonical order, so the analysis is byte-identical at
 // any worker count.

@@ -71,7 +71,7 @@ func getFixture(t *testing.T) *fixture {
 			rs = append(rs, c.Run(it)...)
 		}
 		rounds[name] = rs
-		analyses[name] = Analyze(rs, s.DNS)
+		analyses[name] = AnalyzeParallel(rs, s.DNS, 1)
 	}
 	fx = &fixture{s: s, carriers: carriers, rounds: rounds, analyses: analyses}
 	return fx
@@ -229,15 +229,15 @@ func TestATTRouterField(t *testing.T) {
 
 func TestAnalysisDeterministic(t *testing.T) {
 	f := getFixture(t)
-	a1 := Analyze(f.rounds["att"], f.s.DNS)
-	a2 := Analyze(f.rounds["att"], f.s.DNS)
+	a1 := AnalyzeParallel(f.rounds["att"], f.s.DNS, 1)
+	a2 := AnalyzeParallel(f.rounds["att"], f.s.DNS, 1)
 	if a1.RegionField != a2.RegionField || a1.PGWField != a2.PGWField || a1.Arch != a2.Arch {
 		t.Error("analysis not deterministic")
 	}
 }
 
 func TestEmptyRounds(t *testing.T) {
-	a := Analyze(nil, nil)
+	a := AnalyzeParallel(nil, nil, 1)
 	if a.Arch != ArchUnknown {
 		t.Errorf("empty analysis arch = %v", a.Arch)
 	}
@@ -245,7 +245,7 @@ func TestEmptyRounds(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		none = append(none, ship.Round{At: time.Now()})
 	}
-	if got := Analyze(none, nil); got.Arch != ArchUnknown {
+	if got := AnalyzeParallel(none, nil, 1); got.Arch != ArchUnknown {
 		t.Error("signal-less rounds should yield no inference")
 	}
 }

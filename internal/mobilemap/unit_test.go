@@ -84,7 +84,7 @@ func TestDominantInfraBaseFilters(t *testing.T) {
 	}
 }
 
-// TestSyntheticPlanRecovery drives Analyze over a hand-built journey
+// TestSyntheticPlanRecovery drives AnalyzeParallel over a hand-built journey
 // with a known plan: region byte at 32-39 (two cities), pgw nibble at
 // 40-43 (cycling during a dwell).
 func TestSyntheticPlanRecovery(t *testing.T) {
@@ -120,7 +120,7 @@ func TestSyntheticPlanRecovery(t *testing.T) {
 		rounds = append(rounds, mkRound(at, east, user(0x25, uint64(i%3), uint64(at))))
 		at++
 	}
-	a := Analyze(rounds, nil)
+	a := AnalyzeParallel(rounds, nil, 1)
 	if a.UserPrefixLen != 32 {
 		t.Errorf("prefix = /%d", a.UserPrefixLen)
 	}

@@ -151,37 +151,19 @@ type Outcome struct {
 	From netip.Addr
 }
 
-// WithClock returns a copy of the pinger bound to clk, for callers that
-// want to hold the binding; the scheduler path binds on the stack
-// instead (see Probe).
-func (p *Pinger) WithClock(clk *vclock.Clock) *Pinger {
-	cfg := *p
-	cfg.Clock = clk
-	return &cfg
-}
-
-// Probe implements probesched.Prober: a plain echo series when req.TTL
-// is zero, the §6.3 TTL-limited series otherwise. The result is an
-// Outcome. The clock binding is a stack copy so the per-job dispatch
-// allocates nothing beyond the boxed result.
-func (p *Pinger) Probe(clk *vclock.Clock, req probesched.Request) probesched.Result {
-	return p.outcome(clk, req)
-}
-
-// outcome is Probe without the interface boxing.
-func (p *Pinger) outcome(clk *vclock.Clock, req probesched.Request) Outcome {
-	cfg := *p
-	cfg.Clock = clk
-	if req.TTL > 0 {
-		s, from := cfg.TTLLimited(req.Src, req.Dst, req.TTL, req.Count)
-		return Outcome{Series: s, From: from}
-	}
-	return Outcome{Series: cfg.Ping(req.Src, req.Dst, req.Count)}
-}
-
 // Outcomes runs one ping job per request across the pool and returns
-// the outcomes in request order, with Pool.Fan's clock semantics but a
-// concretely typed result slice (no per-job interface boxing).
+// the outcomes in request order, with probesched.Map's clock semantics:
+// a plain echo series when req.TTL is zero, the §6.3 TTL-limited series
+// otherwise. Each job binds its clock on a stack copy of the pinger, so
+// the per-job dispatch allocates nothing.
 func (p *Pinger) Outcomes(pool *probesched.Pool, reqs []probesched.Request) []Outcome {
-	return probesched.Map(pool, reqs, p.outcome)
+	return probesched.Map(pool, reqs, func(clk *vclock.Clock, req probesched.Request) Outcome {
+		cfg := *p
+		cfg.Clock = clk
+		if req.TTL > 0 {
+			s, from := cfg.TTLLimited(req.Src, req.Dst, req.TTL, req.Count)
+			return Outcome{Series: s, From: from}
+		}
+		return Outcome{Series: cfg.Ping(req.Src, req.Dst, req.Count)}
+	})
 }

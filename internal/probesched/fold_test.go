@@ -8,6 +8,9 @@ import (
 	"repro/internal/vclock"
 )
 
+// noScratch is the scratch lease of tests that fold without one.
+func noScratch() struct{} { return struct{}{} }
+
 // TestMapFoldStreamsInOrder checks that fold observes exactly the
 // sequence (0, r0), (1, r1), ... at every worker count, and that the
 // campaign clock lands on the same instant Map would have produced.
@@ -32,7 +35,9 @@ func TestMapFoldStreamsInOrder(t *testing.T) {
 			p := New(workers, clock)
 			var order []int
 			var sum int
-			MapFold(p, jobs, run, func(i int, r int) {
+			MapFold(p, jobs, noScratch, func(struct{}) {}, func(clk *vclock.Clock, _ struct{}, job int) int {
+				return run(clk, job)
+			}, func(i int, r int) {
 				order = append(order, i)
 				sum += r
 			})

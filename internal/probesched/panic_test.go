@@ -77,8 +77,8 @@ func TestMapFoldSurvivesPanickingJob(t *testing.T) {
 		}
 		folded := make([]int, 0, len(jobs))
 		pe := catchJobPanic(t, func() {
-			MapFold(p, jobs,
-				func(c *vclock.Clock, j int) int {
+			MapFold(p, jobs, noScratch, func(struct{}) {},
+				func(c *vclock.Clock, _ struct{}, j int) int {
 					if j == 30 {
 						panic("mapfold boom")
 					}

@@ -77,21 +77,15 @@ type Pool struct {
 
 // New returns a pool with the given worker count on the given campaign
 // clock. workers <= 0 selects runtime.GOMAXPROCS(0). The clock must not
-// be nil for pools that schedule probes (Map, MapFold, Fan); a
-// compute-only pool used exclusively with Reduce may pass a nil clock,
-// since analysis work consumes no virtual time.
+// be nil for pools that schedule probes (Map, MapFold); a compute-only
+// pool used exclusively with Reduce may pass a nil clock, since
+// analysis work consumes no virtual time.
 func New(workers int, clock *vclock.Clock) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{workers: workers, clock: clock}
 }
-
-// Workers reports the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Clock returns the campaign clock the pool advances after each batch.
-func (p *Pool) Clock() *vclock.Clock { return p.clock }
 
 // Map runs one job per element of jobs across the pool's workers and
 // returns the results in job order. Each invocation of run receives a
@@ -101,40 +95,35 @@ func (p *Pool) Clock() *vclock.Clock { return p.clock }
 // slice and the final clock reading are therefore independent of worker
 // count and goroutine scheduling.
 func Map[J, R any](p *Pool, jobs []J, run func(clk *vclock.Clock, job J) R) []R {
-	return mapFold(p, jobs, run, nil)
+	return mapFoldCore(p, jobs, func() struct{} { return struct{}{} }, func(struct{}) {},
+		func(clk *vclock.Clock, _ struct{}, job J) R { return run(clk, job) }, nil)
 }
 
 // MapFold runs jobs like Map but streams the results, in job order, to
 // fold on the caller's goroutine while later jobs are still in flight.
 // Workers claim contiguous job chunks and announce each finished chunk;
 // the caller folds a chunk as soon as every earlier chunk has been
-// folded. This removes the collect-everything-then-fold barrier that
-// serialized campaign result handling behind the slowest worker: at any
-// instant the fold is consuming chunk k while workers produce chunks
-// k+1....
+// folded, so at any instant the fold is consuming chunk k while workers
+// produce chunks k+1....
+//
+// Every worker chunk additionally leases a scratch value: get is called
+// when a worker starts a chunk, each of the chunk's jobs runs with that
+// scratch, and put is called only after the chunk's results have been
+// folded. Results may therefore reference their chunk's scratch (the
+// columnar trace store hands out views into a shared hop buffer this
+// way) — the scratch is guaranteed alive until the fold has consumed
+// them, and put typically resets and pools it for the next chunk. On
+// the workers<=1 sequential path every job is its own chunk: get, run,
+// fold, put, in job order.
 //
 // Determinism is unchanged from Map: fold observes exactly the sequence
 // (0, r0), (1, r1), ... regardless of worker count or scheduling, and
 // the campaign clock advances by the identical job-order elapsed total
-// after the batch. fold must not submit probes on the campaign clock
-// (it runs before the batch advance).
-func MapFold[J, R any](p *Pool, jobs []J, run func(clk *vclock.Clock, job J) R, fold func(i int, r R)) {
-	mapFold(p, jobs, run, fold)
-}
-
-// MapFoldScratch runs jobs like MapFold but additionally leases every
-// worker chunk a scratch value: get is called when a worker starts a
-// chunk, each of the chunk's jobs runs with that scratch, and put is
-// called only after the chunk's results have been folded. Results may
-// therefore reference their chunk's scratch (the columnar trace store
-// hands out views into a shared hop buffer this way) — the scratch is
-// guaranteed alive until the fold has consumed them, and put typically
-// resets and pools it for the next chunk. On the workers<=1 sequential
-// path every job is its own chunk: get, run, fold, put, in job order.
-// fold must be non-nil. Determinism matches MapFold exactly.
-func MapFoldScratch[J, R, S any](p *Pool, jobs []J, get func() S, put func(S),
+// after the batch. fold must be non-nil and must not submit probes on
+// the campaign clock (it runs before the batch advance).
+func MapFold[J, R, S any](p *Pool, jobs []J, get func() S, put func(S),
 	run func(clk *vclock.Clock, scratch S, job J) R, fold func(i int, r R)) {
-	mapFoldCore(p, jobs, get, put, run, fold, false)
+	mapFoldCore(p, jobs, get, put, run, fold)
 }
 
 // chunksPerWorker over-partitions the job list so a straggler chunk
@@ -145,27 +134,12 @@ const (
 	minChunk        = 4
 )
 
-// noScratch is the empty scratch type of the Map/MapFold paths.
-type noScratch = struct{}
-
-func noScratchGet() noScratch { return noScratch{} }
-func noScratchPut(noScratch)  {}
-
-func mapFold[J, R any](p *Pool, jobs []J, run func(clk *vclock.Clock, job J) R, fold func(i int, r R)) []R {
-	wrapped := func(clk *vclock.Clock, _ noScratch, job J) R { return run(clk, job) }
-	// With no fold the caller needs the full result slice (Map); with a
-	// fold the core streams results through pooled per-chunk buffers and
-	// never materializes the batch.
-	return mapFoldCore(p, jobs, noScratchGet, noScratchPut, wrapped, fold, fold == nil)
-}
-
-// mapFoldCore is the shared engine behind Map, MapFold, and
-// MapFoldScratch. When collect is true it writes results into one
-// batch-sized slice and returns it (the Map contract; fold, if any,
-// still streams in job order). When collect is false, results live in
-// per-chunk buffers recycled through a sync.Pool the moment the fold
-// has consumed them, so a large batch costs O(in-flight chunks) result
-// memory instead of O(jobs) — the campaign fold path's main saving.
+// mapFoldCore is the shared engine behind Map and MapFold. With a nil
+// fold (Map) it writes results into one batch-sized slice and returns
+// it. With a fold (MapFold), results live in per-chunk buffers recycled
+// through a sync.Pool the moment the fold has consumed them, so a large
+// batch costs O(in-flight chunks) result memory instead of O(jobs) —
+// the campaign fold path's main saving.
 //
 // Determinism is identical either way: fold observes exactly the
 // sequence (0, r0), (1, r1), ..., and the campaign clock advances by
@@ -175,12 +149,13 @@ func mapFold[J, R any](p *Pool, jobs []J, run func(clk *vclock.Clock, job J) R, 
 // produce, so the clock reading is bit-identical to the historical
 // path.
 func mapFoldCore[J, R, S any](p *Pool, jobs []J, get func() S, put func(S),
-	run func(clk *vclock.Clock, scratch S, job J) R, fold func(i int, r R), collect bool) []R {
+	run func(clk *vclock.Clock, scratch S, job J) R, fold func(i int, r R)) []R {
 	n := len(jobs)
 	if n == 0 {
 		return nil
 	}
 	start := p.clock.Now()
+	collect := fold == nil
 	var out []R
 	if collect {
 		out = make([]R, n)
@@ -228,7 +203,7 @@ func mapFoldCore[J, R, S any](p *Pool, jobs []J, get func() S, put func(S),
 			}
 			scratch := get()
 			runJob(clk, scratch, i, dst, &total, &firstPanic)
-			if fold != nil {
+			if !collect {
 				fold(i, *dst)
 			}
 			put(scratch)
@@ -257,30 +232,26 @@ func mapFoldCore[J, R, S any](p *Pool, jobs []J, get func() S, put func(S),
 	// Streaming mode parks each finished chunk's result buffer and
 	// scratch until the folder reaches it in canonical order; buffers
 	// recycle through bufPool once folded.
+	//
+	// It also bounds in-flight chunks: a worker must take a token before
+	// claiming a chunk index, and the folder returns the token only
+	// after folding that chunk. With a slow fold (the windowed campaign
+	// flush spilling segments to disk) workers therefore park instead of
+	// racing ahead and parking O(numChunks) result buffers — resident
+	// result memory is O(workers), independent of batch size. quit
+	// unblocks token waiters when folding ends (or panics), so no worker
+	// goroutine can leak.
 	var (
 		bufs      []*[]R
 		scratches []S
 		bufPool   sync.Pool
+		tokens    chan struct{}
+		quit      chan struct{}
 	)
 	if !collect {
 		bufs = make([]*[]R, numChunks)
 		scratches = make([]S, numChunks)
 		bufPool.New = func() any { s := make([]R, 0, chunk); return &s }
-	}
-	// done is buffered to numChunks so workers never block on a slow
-	// folder (or on nobody draining it when fold is nil).
-	done := make(chan int, numChunks)
-	// Streaming mode bounds in-flight chunks: a worker must take a token
-	// before claiming a chunk index, and the folder returns the token
-	// only after folding that chunk. With a slow fold (the windowed
-	// campaign flush spilling segments to disk) workers therefore park
-	// instead of racing ahead and parking O(numChunks) result buffers —
-	// resident result memory is O(workers), independent of batch size.
-	// quit unblocks token waiters when folding ends (or panics), so no
-	// worker goroutine can leak.
-	var tokens chan struct{}
-	var quit chan struct{}
-	if !collect {
 		maxInFlight := workers * 2
 		if maxInFlight > numChunks {
 			maxInFlight = numChunks
@@ -291,6 +262,9 @@ func mapFoldCore[J, R, S any](p *Pool, jobs []J, get func() S, put func(S),
 		}
 		quit = make(chan struct{})
 	}
+	// done is buffered to numChunks so workers never block on a slow
+	// folder (or on nobody draining it in collect mode).
+	done := make(chan int, numChunks)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -344,36 +318,28 @@ func mapFoldCore[J, R, S any](p *Pool, jobs []J, get func() S, put func(S),
 			}
 		}()
 	}
-	if fold != nil {
+	if !collect {
 		// Fold chunks in canonical order as they complete; the
 		// channel receive orders each chunk's result writes before
 		// the fold reads them. The deferred close frees token waiters
 		// even if a fold call panics — workers must never outlive the
 		// batch.
 		func() {
-			if quit != nil {
-				defer close(quit)
-			}
+			defer close(quit)
 			ready := make([]bool, numChunks)
 			nextFold := 0
 			for finished := 0; finished < numChunks; finished++ {
 				ready[<-done] = true
 				for nextFold < numChunks && ready[nextFold] {
 					lo, hi := span(nextFold)
-					if collect {
-						for i := lo; i < hi; i++ {
-							fold(i, out[i])
-						}
-					} else {
-						buf := *bufs[nextFold]
-						for i := lo; i < hi; i++ {
-							fold(i, buf[i-lo])
-						}
-						put(scratches[nextFold])
-						bufPool.Put(bufs[nextFold])
-						bufs[nextFold] = nil
-						tokens <- struct{}{}
+					buf := *bufs[nextFold]
+					for i := lo; i < hi; i++ {
+						fold(i, buf[i-lo])
 					}
+					put(scratches[nextFold])
+					bufPool.Put(bufs[nextFold])
+					bufs[nextFold] = nil
+					tokens <- struct{}{}
 					nextFold++
 				}
 			}
@@ -484,10 +450,11 @@ func reduceSpan[A any](init func() A, accum func(a A, i int) A, lo, hi int) (a A
 	return a, nil
 }
 
-// Request describes one probe job in the unified format both
-// measurement engines accept: a traceroute or a ping series from Src
-// toward Dst. Engine-specific knobs (probe counts, TTL caps, protocol)
-// live on the engine; the request carries only what varies per job.
+// Request describes one probe job in the format both measurement
+// engines accept (traceroute.Engine.Traces and FoldTraces,
+// ping.Pinger.Outcomes): a traceroute or a ping series from Src toward
+// Dst. Engine-specific knobs (probe counts, TTL caps, protocol) live on
+// the engine; the request carries only what varies per job.
 type Request struct {
 	// Src is the vantage-point host address; Dst the probe target.
 	Src, Dst netip.Addr
@@ -496,30 +463,4 @@ type Request struct {
 	TTL int
 	// Count is the ping-series length. Traceroute engines ignore it.
 	Count int
-}
-
-// Result is the engine-specific outcome of one Request: a
-// traceroute.Trace from the traceroute engine, a ping.Outcome from the
-// ping engine. Callers assert the type matching the Prober they
-// submitted to.
-type Result any
-
-// Prober is the unified measurement-engine interface: one probe job in,
-// one result out, on the supplied clock. Both traceroute.Engine and
-// ping.Pinger implement it, which is what lets campaign sweeps, DPR
-// passes, alias probing, and latency studies share this scheduler path.
-//
-// Implementations must be safe for concurrent Probe calls with distinct
-// clocks; the engines guarantee this by treating their configuration as
-// read-only and carrying all per-job state on the stack.
-type Prober interface {
-	Probe(clk *vclock.Clock, req Request) Result
-}
-
-// Fan submits one job per request against the prober and returns the
-// results in request order, with the same clock semantics as Map.
-func (p *Pool) Fan(pr Prober, reqs []Request) []Result {
-	return Map(p, reqs, func(clk *vclock.Clock, req Request) Result {
-		return pr.Probe(clk, req)
-	})
 }

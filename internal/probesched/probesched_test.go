@@ -67,46 +67,14 @@ func TestMapForksFromBatchStart(t *testing.T) {
 func TestMapEmptyAndDefaults(t *testing.T) {
 	clk := vclock.New(epoch)
 	p := New(0, clk)
-	if p.Workers() < 1 {
-		t.Fatalf("New(0, ...) workers = %d, want >= 1", p.Workers())
-	}
-	if p.Clock() != clk {
-		t.Fatal("Clock() did not return the campaign clock")
+	if p.workers < 1 {
+		t.Fatalf("New(0, ...) workers = %d, want >= 1", p.workers)
 	}
 	if out := Map(p, nil, func(*vclock.Clock, int) int { return 1 }); out != nil {
 		t.Fatalf("Map over no jobs = %v, want nil", out)
 	}
 	if !clk.Now().Equal(epoch) {
 		t.Fatal("empty Map moved the clock")
-	}
-}
-
-// echoProber returns its request so Fan ordering is observable.
-type echoProber struct{}
-
-func (echoProber) Probe(clk *vclock.Clock, req Request) Result {
-	clk.Advance(time.Millisecond)
-	return req
-}
-
-func TestFanReturnsRequestOrder(t *testing.T) {
-	clk := vclock.New(epoch)
-	p := New(8, clk)
-	reqs := make([]Request, 30)
-	for i := range reqs {
-		reqs[i] = Request{TTL: i}
-	}
-	out := p.Fan(echoProber{}, reqs)
-	if len(out) != len(reqs) {
-		t.Fatalf("Fan returned %d results, want %d", len(out), len(reqs))
-	}
-	for i, r := range out {
-		if r.(Request).TTL != i {
-			t.Fatalf("out[%d] = %+v, want TTL %d", i, r, i)
-		}
-	}
-	if got, want := clk.Since(epoch), 30*time.Millisecond; got != want {
-		t.Fatalf("clock advanced %v, want %v", got, want)
 	}
 }
 

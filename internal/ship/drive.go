@@ -30,7 +30,7 @@ type DriveSample struct {
 // speedtestRe.
 func Drive(net *netsim.Network, dns *dnsdb.DB, clock *vclock.Clock, modem *topogen.Modem,
 	from, to geo.Point, steps int, speedtestRe *regexp.Regexp) []DriveSample {
-	targets := dns.ScanSnapshot(speedtestRe)
+	targets := dns.ScanSnapshotParallel(speedtestRe, 1)
 	var out []DriveSample
 	for s := 0; s <= steps; s++ {
 		loc := geo.Interpolate(from, to, float64(s)/float64(steps))

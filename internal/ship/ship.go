@@ -167,8 +167,7 @@ func (c *Campaign) round(loc geo.Point) Round {
 	for i, dst := range c.Targets {
 		jobs[i] = probesched.Request{Src: att.Host.Addr, Dst: dst}
 	}
-	for i, res := range pool.Fan(eng, jobs) {
-		tr := res.(traceroute.Trace)
+	for i, tr := range eng.Traces(pool, jobs) {
 		r.Active += tr.ActiveTime
 		r.Stats.Add(tr.Stats())
 		if i == 0 {

@@ -144,7 +144,7 @@ func TestInfraBlocksDstProbes(t *testing.T) {
 func TestVerizonSpeedtestNames(t *testing.T) {
 	f := getMobile(t)
 	found := 0
-	for _, e := range f.s.DNS.ScanSnapshot(mustCompile(`\.ost\.myvzw\.com$`)) {
+	for _, e := range f.s.DNS.ScanSnapshotParallel(mustCompile(`\.ost\.myvzw\.com$`), 1) {
 		_ = e
 		found++
 	}

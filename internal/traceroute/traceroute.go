@@ -340,8 +340,7 @@ func (e *Engine) Trace(src, dst netip.Addr) Trace {
 
 // traceWith runs one traceroute on the supplied clock. The defaulted
 // configuration copy stays on this frame (nothing returns a pointer to
-// it), so the per-job engine binding costs no allocation — unlike the
-// WithClock path, whose returned pointer must escape.
+// it), so the per-job engine binding costs no allocation.
 func (e *Engine) traceWith(clk *vclock.Clock, src, dst netip.Addr) Trace {
 	cfg := *e
 	cfg.Clock = clk
@@ -387,15 +386,18 @@ func (e *Engine) traceColumnar(clk *vclock.Clock, store *HopStore, src, dst neti
 // to its chunk's row count once and is then reused at full capacity.
 var hopStores = sync.Pool{New: func() any { return new(HopStore) }}
 
-// FoldTracesColumnar is FoldTraces on the columnar store: each worker
-// chunk leases one pooled HopStore, every trace in the chunk appends
-// its rows there, and fold receives TraceViews in request order. The
-// store is reset and repooled only after its chunk has been folded
-// (probesched.MapFoldScratch's scratch lifecycle), so views stay valid
-// exactly as long as the fold can see them. Campaign collection uses
-// this to drop the per-trace []Hop and result-slice allocations.
-func (e *Engine) FoldTracesColumnar(pool *probesched.Pool, reqs []probesched.Request, fold func(i int, tv TraceView)) {
-	probesched.MapFoldScratch(pool, reqs,
+// FoldTraces runs one traceroute per request across the pool and
+// streams the traces, in request order, to fold while later requests
+// are still probing. Each worker chunk leases one pooled columnar
+// HopStore, every trace in the chunk appends its rows there, and fold
+// receives TraceViews. The store is reset and repooled only after its
+// chunk has been folded (probesched.MapFold's scratch lifecycle), so
+// views stay valid exactly as long as the fold can see them — a fold
+// that keeps hops past its return must copy them. Campaign collection
+// uses this to overlap folding with in-flight probing without the
+// per-trace []Hop and result-slice allocations.
+func (e *Engine) FoldTraces(pool *probesched.Pool, reqs []probesched.Request, fold func(i int, tv TraceView)) {
+	probesched.MapFold(pool, reqs,
 		func() *HopStore { return hopStores.Get().(*HopStore) },
 		func(s *HopStore) { s.Reset(); hopStores.Put(s) },
 		func(clk *vclock.Clock, s *HopStore, req probesched.Request) TraceView {
@@ -420,42 +422,12 @@ func (e *Engine) ApplyResilience(r probesched.Resilience) {
 	}
 }
 
-// WithClock returns a copy of the engine bound to clk, for callers that
-// want to hold the binding; the scheduler path avoids it (see
-// traceWith).
-func (e *Engine) WithClock(clk *vclock.Clock) *Engine {
-	cfg := *e
-	cfg.Clock = clk
-	return &cfg
-}
-
-// Probe implements probesched.Prober: one traceroute from req.Src
-// toward req.Dst on the supplied clock. The result is a Trace.
-func (e *Engine) Probe(clk *vclock.Clock, req probesched.Request) probesched.Result {
-	return e.traceWith(clk, req.Src, req.Dst)
-}
-
 // Traces runs one traceroute per request across the pool and returns
-// the traces in request order, with Pool.Fan's clock semantics. Unlike
-// Fan, the result slice is concretely typed: at campaign scale the
-// interface boxing Fan implies is one heap allocation per trace, which
-// this path avoids.
+// the traces in request order, with probesched.Map's clock semantics.
 func (e *Engine) Traces(pool *probesched.Pool, reqs []probesched.Request) []Trace {
 	return probesched.Map(pool, reqs, func(clk *vclock.Clock, req probesched.Request) Trace {
 		return e.traceWith(clk, req.Src, req.Dst)
 	})
-}
-
-// FoldTraces runs one traceroute per request across the pool and
-// streams the traces, in request order, to fold while later requests
-// are still probing — probesched.MapFold's semantics with the same
-// concrete Trace typing as Traces. Campaign collection uses this to
-// overlap result folding with in-flight probing instead of waiting for
-// a whole stage to finish.
-func (e *Engine) FoldTraces(pool *probesched.Pool, reqs []probesched.Request, fold func(i int, tr Trace)) {
-	probesched.MapFold(pool, reqs, func(clk *vclock.Clock, req probesched.Request) Trace {
-		return e.traceWith(clk, req.Src, req.Dst)
-	}, fold)
 }
 
 func (e *Engine) traceSequential(src, dst netip.Addr) Trace {
