@@ -54,9 +54,13 @@ race-infer:
 # golden captured before the fast path (LPM FIB + compiled flows)
 # landed, across a GOMAXPROCS x workers grid. The zero-fault-plan test
 # extends the same guarantee to the fault layer: an installed-but-empty
-# FaultPlan may not move a byte.
+# FaultPlan may not move a byte. The netsim tests pin the fast path's
+# allocations (a compiled flow's probe allocates nothing, a compile two
+# objects) and the comap test holds the packed-key MPLS false-pair pass
+# to its [2]netip.Addr reference.
 equivalence:
-	$(GO) test ./internal/probesched/ -run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest' -count=1
+	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ -count=1 \
+		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference'
 
 # Graceful degradation: the faulted campaign must stay deterministic
 # across worker counts, account for every probe, and the chaos sweep's

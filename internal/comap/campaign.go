@@ -625,7 +625,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 		panic(campaignCancelled{cerr})
 	}
 	if !c.SkipMPLSPass {
-		c.findFalsePairs(col, pool)
+		findFalsePairs(col, pool)
 	}
 
 	// Alias resolution over the rDNS-selected addresses, every observed
@@ -881,48 +881,32 @@ func p2pMate(a netip.Addr, bits int) (netip.Addr, bool) {
 // checks every reached path against the pairs ending at its
 // destination. The verdicts are set inserts ORed over paths, so the
 // pass-two iteration order (unlike the historical pair-major loop) is
-// immaterial.
-func (c *Campaign) findFalsePairs(col *Collection, pool *probesched.Pool) {
-	// Presize off the collection's own ledger: answered hop rows bound
-	// the adjacency count, so the maps never rehash mid-build. Windowed
-	// runs cap the hint at a few windows' worth of rows — the full
-	// ledger hint over-allocates by the archive/window ratio exactly
-	// when the caller asked for bounded memory (distinct pairs plateau
-	// long before the row count at campaign scale; growth past the hint
-	// just rehashes).
-	hint := col.HopRowsAnswered
-	if c.TraceWindow > 0 && hint > 8*c.TraceWindow {
-		hint = 8 * c.TraceWindow
-	}
-	// init runs once per reduce shard (and per window), so each shard
-	// presizes a fraction; the merged survivor rehashes at most a couple
-	// of times instead of once per insert.
-	shardHint := hint / 4
+// immaterial. The adjacency set is keyed by prefixset.PairKey4 (8
+// bytes per IPv4 pair instead of 48) and grows from empty: distinct
+// adjacencies are a small fraction of the answered hop rows, so no
+// row-derived presize is worth its slots. The reference [2]netip.Addr
+// implementation lives in falsepairs_ref_test.go.
+func findFalsePairs(col *Collection, pool *probesched.Pool) {
 	adj := foldPaths(pool, col,
-		func() map[[2]netip.Addr]bool { return make(map[[2]netip.Addr]bool, shardHint) },
-		func(set map[[2]netip.Addr]bool, _ int, p Path, _ string) map[[2]netip.Addr]bool {
+		func() adjacency { return adjacency{v4: map[uint64]struct{}{}} },
+		func(set adjacency, _ int, p Path, _ string) adjacency {
 			for i := 1; i < len(p.Hops); i++ {
-				if p.Gaps[i] {
-					continue
+				if !p.Gaps[i] {
+					set.add(p.Hops[i-1], p.Hops[i])
 				}
-				set[[2]netip.Addr{p.Hops[i-1], p.Hops[i]}] = true
 			}
 			return set
 		},
-		func(into, from map[[2]netip.Addr]bool) map[[2]netip.Addr]bool {
-			if len(from) > len(into) {
-				into, from = from, into
-			}
-			for k := range from {
-				into[k] = true
-			}
-			return into
-		})
+		adjacency.merge)
 	// Invert: for each adjacency (a, b), the candidate first elements a
 	// keyed by the pair's second address b — pass two looks up a path's
 	// own destination instead of scanning paths per pair.
-	pairsBySecond := make(map[netip.Addr][]netip.Addr, len(adj))
-	for pair := range adj {
+	pairsBySecond := make(map[netip.Addr][]netip.Addr, len(adj.v4)+len(adj.wide))
+	for k := range adj.v4 {
+		a, b := prefixset.UnpackPairKey4(k)
+		pairsBySecond[b] = append(pairsBySecond[b], a)
+	}
+	for pair := range adj.wide {
 		pairsBySecond[pair[1]] = append(pairsBySecond[pair[1]], pair[0])
 	}
 	type verdicts struct {
@@ -980,12 +964,38 @@ func (c *Campaign) findFalsePairs(col *Collection, pool *probesched.Pool) {
 	col.FalsePairs, col.DirectPairs = v.falsePairs, v.directPairs
 }
 
-// Probes returns a rough count of injected packets; exported for the
-// bench harness narration.
-func (c *Collection) Probes() int {
-	n := 0
-	c.EachPath(func(_ int, p Path, _ string) {
-		n += len(p.Hops)
-	})
-	return n
+// adjacency is the distinct set of gap-free adjacent hop pairs: IPv4
+// pairs packed by prefixset.PairKey4, anything else (IPv6, 4-in-6
+// mapped) in wide, which stays nil until such a pair shows up.
+type adjacency struct {
+	v4   map[uint64]struct{}
+	wide map[[2]netip.Addr]struct{}
+}
+
+func (s *adjacency) add(a, b netip.Addr) {
+	if k, ok := prefixset.PairKey4(a, b); ok {
+		s.v4[k] = struct{}{}
+		return
+	}
+	if s.wide == nil {
+		s.wide = map[[2]netip.Addr]struct{}{}
+	}
+	s.wide[[2]netip.Addr{a, b}] = struct{}{}
+}
+
+// merge folds the smaller set of each family into the larger.
+func (into adjacency) merge(from adjacency) adjacency {
+	into.v4 = mergeSet(into.v4, from.v4)
+	into.wide = mergeSet(into.wide, from.wide)
+	return into
+}
+
+func mergeSet[K comparable](into, from map[K]struct{}) map[K]struct{} {
+	if len(from) > len(into) {
+		into, from = from, into
+	}
+	for k := range from {
+		into[k] = struct{}{}
+	}
+	return into
 }

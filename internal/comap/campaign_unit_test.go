@@ -11,7 +11,6 @@ import (
 )
 
 func TestFindFalsePairs(t *testing.T) {
-	c := &Campaign{}
 	col := &Collection{
 		Observed:    map[netip.Addr]bool{},
 		FalsePairs:  map[[2]netip.Addr]bool{},
@@ -36,7 +35,7 @@ func TestFindFalsePairs(t *testing.T) {
 				Gaps: []bool{false, false}},
 		},
 	}
-	c.findFalsePairs(col, probesched.New(1, nil))
+	findFalsePairs(col, probesched.New(1, nil))
 	if !col.FalsePairs[[2]netip.Addr{a("10.0.0.1"), a("10.0.0.2")}] {
 		t.Error("tunnel entry/exit pair not flagged false")
 	}

@@ -27,8 +27,8 @@ func BenchmarkProbeWarmCache(b *testing.B) {
 
 // BenchmarkProbeCompiledFlow measures the replay fast path: the flow is
 // resolved once and every probe indexes into the compiled hop sequence.
-// This is the loop traceroute and TTL-limited ping drive; it should not
-// allocate.
+// This is the loop traceroute and TTL-limited ping drive;
+// TestFlowProbeAllocatesNothing pins it at zero allocations.
 func BenchmarkProbeCompiledFlow(b *testing.B) {
 	net, src, dst := benchNet(b, 200)
 	flow := net.CompileFlow(src.Addr, dst.Addr, 7)

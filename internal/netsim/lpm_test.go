@@ -108,10 +108,11 @@ func TestFIBInvalidatedByAddPrefix(t *testing.T) {
 	}
 }
 
-// TestPathCacheInvalidatedByMutation warms the compiled-path cache,
-// mutates the topology, and checks every subsequent reply matches a
-// fresh network built with the mutation in place from the start —
-// i.e. no stale compiled path survives Connect or AddTunnel.
+// TestPathCacheInvalidatedByMutation probes a flow (compiled and
+// one-shot), mutates the topology, and checks that a flow compiled
+// after Connect or AddTunnel, and every one-shot probe, answers exactly
+// like a fresh network built with the mutation in place from the
+// start: nothing compiled before a mutation leaks into later flows.
 func TestPathCacheInvalidatedByMutation(t *testing.T) {
 	spec := func(c *chain, ttl uint8) ProbeSpec {
 		return ProbeSpec{Src: c.vp.Addr, Dst: c.target.Addr, TTL: ttl, Proto: ICMPEcho, FlowID: 9, Seq: uint32(ttl)}

@@ -16,11 +16,13 @@
 // Topology construction (AddRouter, AddIface, Connect, AddHost,
 // AddPrefix, AddTunnel) is single-threaded: wire the network before the
 // first probe. Once built, Probe is safe to call from any number of
-// goroutines: the shortest-path cache is guarded by a read-write mutex,
-// the per-router and per-interface IP-ID counters are atomics, and
-// every other per-probe "random" draw (jitter, rate-limit, ECMP tie
-// breaks) is a pure splitmix-style hash of (seed, probe parameters), so
-// no probe can perturb another's outcome regardless of interleaving.
+// goroutines: the shortest-path cache, the only routing state shared
+// between probes, is guarded by a read-write mutex (a compiled path
+// belongs to the one Flow or Probe call that built it), the per-router
+// and per-interface IP-ID counters are atomics, and every other
+// per-probe "random" draw (jitter, rate-limit, ECMP tie breaks) is a
+// pure splitmix-style hash of (seed, probe parameters), so no probe can
+// perturb another's outcome regardless of interleaving.
 // The only order-sensitive state is the IP-ID counters, and their
 // post-batch values depend only on the multiset of replies generated —
 // which is itself deterministic — so any schedule of the same probe set
@@ -198,12 +200,6 @@ type Network struct {
 	// invalidates it.
 	fib atomic.Pointer[trieFIB]
 
-	// paths caches compiled visible-hop sequences per (src router, dst
-	// router, flow, dst-is-router-address) so a traceroute resolves its
-	// path once instead of once per TTL (see pathcache.go). Invalidated
-	// together with the SPT cache and by AddTunnel.
-	paths pathCache
-
 	// tunnels maps an ingress router to the MPLS LSPs it originates.
 	tunnels map[RouterID][]*Tunnel
 
@@ -327,15 +323,14 @@ func (n *Network) AddHost(h *Host) error {
 	return nil
 }
 
-// InvalidateRoutes drops the cached shortest-path trees and the
-// compiled-path cache derived from them. Connect calls it
-// automatically; callers that tune Link.Metric or Link.Delay after
-// wiring must call it themselves.
+// InvalidateRoutes drops the cached shortest-path trees. Connect calls
+// it automatically; callers that tune Link.Metric or Link.Delay after
+// wiring must call it themselves. Flows compiled before the call keep
+// their old path; compile them again.
 func (n *Network) InvalidateRoutes() {
 	n.sptMu.Lock()
 	n.spt = map[RouterID]*sptResult{}
 	n.sptMu.Unlock()
-	n.paths.invalidate()
 }
 
 // AddPrefix declares that unassigned addresses within prefix are served
@@ -357,8 +352,6 @@ func (n *Network) AddPrefix(p netip.Prefix, r *Router, isp string) {
 // AddTunnel installs an MPLS LSP from ingress to egress.
 func (n *Network) AddTunnel(ingress, egress *Router) {
 	n.tunnels[ingress.ID] = append(n.tunnels[ingress.ID], &Tunnel{Ingress: ingress, Egress: egress})
-	// Tunnel visibility is baked into compiled paths; drop them.
-	n.paths.invalidate()
 }
 
 // Routers returns the ground-truth router list; for generators and

@@ -177,14 +177,38 @@ func (n *Network) visiblePath(path []pathHop, dstRouter *Router, dstIsRouterAddr
 	return out
 }
 
+// compiledPath is the replayable result of routerPath + visiblePath for
+// one (src router, dst router, flow ID, dst-is-router-address) tuple:
+// everything the visible hop sequence depends on. It is immutable once
+// built: probes index into vis but never write it, so one copy serves
+// any number of goroutines.
+type compiledPath struct {
+	reachable bool
+	// vis is the TTL-consuming hop sequence with MPLS-hidden hops
+	// already removed (the source router is not included).
+	vis []visibleHop
+}
+
+// compilePath walks the flow's router path and applies MPLS visibility
+// to it. Nothing is cached: the caller owns the result (a Flow keeps it
+// for replay, Probe drops it after one answer).
+func (n *Network) compilePath(src, dst RouterID, flowID uint16, toRouterAddr bool) *compiledPath {
+	cp := &compiledPath{}
+	var buf [64]pathHop
+	if path := n.routerPath(buf[:], src, dst, flowID); path != nil {
+		cp.reachable = true
+		cp.vis = n.visiblePath(path, n.routers[dst], toRouterAddr)
+	}
+	return cp
+}
+
 // Probe injects one probe at virtual time `at` and returns the response.
 //
 // This is the convenience entry point: it resolves the destination
-// through the compiled FIB and computes the flow's visible path on
-// every call (reading, but never populating, the compiled-path cache —
-// one-shot probes tend to carry single-use flow IDs). Callers that send
-// many probes along one flow, such as a traceroute walking TTLs, should
-// compile the flow once with CompileFlow and replay it.
+// through the compiled FIB and compiles the flow's visible path on
+// every call. Callers that send many probes along one flow, such as a
+// traceroute walking TTLs, should compile the flow once with
+// CompileFlow and replay it.
 func (n *Network) Probe(at time.Time, s ProbeSpec) Reply {
 	srcHost, ok := n.hosts[s.Src]
 	if !ok {
@@ -194,7 +218,7 @@ func (n *Network) Probe(at time.Time, s ProbeSpec) Reply {
 	if kind == dstNone || dstRouter == nil {
 		return Reply{Type: Timeout}
 	}
-	cp := n.compiledVisible(srcHost.Router.ID, dstRouter.ID, s.FlowID, kind == dstIface, false)
+	cp := n.compilePath(srcHost.Router.ID, dstRouter.ID, s.FlowID, kind == dstIface)
 	return n.replay(at, s, srcHost, kind, dstRouter, dHost, dIface, cp)
 }
 
@@ -297,7 +321,7 @@ func (n *Network) CompileFlow(src, dst netip.Addr, flowID uint16) Flow {
 	f.dstRouter = dstRouter
 	f.dstHost = dHost
 	f.dstIface = dIface
-	f.cp = n.compiledVisible(srcHost.Router.ID, dstRouter.ID, flowID, kind == dstIface, true)
+	f.cp = n.compilePath(srcHost.Router.ID, dstRouter.ID, flowID, kind == dstIface)
 	return f
 }
 

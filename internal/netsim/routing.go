@@ -192,28 +192,21 @@ type pathHop struct {
 	delay time.Duration
 }
 
-// routerPath returns the routers a packet traverses from src to dst,
-// choosing among equal-cost alternatives with a hash of flowID so equal
-// flow IDs always take identical paths (Paris traceroute invariant).
-// Returns nil when dst is unreachable from src.
-func (n *Network) routerPath(src, dst RouterID, flowID uint16) []pathHop {
+// routerPath fills buf with the routers a packet traverses from src to
+// dst, choosing among equal-cost alternatives with a hash of flowID so
+// equal flow IDs always take identical paths (Paris traceroute
+// invariant). Returns nil when dst is unreachable from src. The walk is
+// scratch: visiblePath copies what it keeps, so compilePath passes a
+// stack buffer and append only reaches the heap for paths longer than
+// that buffer.
+func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []pathHop {
 	spt := n.shortestPaths(src)
 	if spt.dist[dst] == unreachable {
 		return nil
 	}
-	// Walk predecessors from dst back to src — twice. The first walk
-	// only counts, so the retained path gets one exact-size allocation;
-	// the picks are pure functions of (seed, flowID, router), so both
-	// walks agree. Compiled paths live in the flow cache, where the 2-3
-	// append-growth reallocations per path used to dominate compile
-	// allocations.
-	hops := 1
-	for cur := int32(dst); cur != int32(src); {
-		preds := spt.preds[cur]
-		cur = preds[int(mix(n.seed, uint64(flowID), uint64(cur))%uint64(len(preds)))].from
-		hops++
-	}
-	rev := make([]pathHop, 0, hops)
+	// Walk predecessors from dst back to src; the picks are pure
+	// functions of (seed, flowID, router).
+	rev := buf[:0]
 	cur := int32(dst)
 	for cur != int32(src) {
 		preds := spt.preds[cur]

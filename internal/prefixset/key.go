@@ -138,16 +138,25 @@ func (k key) next(v4 bool) (key, bool) {
 // PairKey4 packs an IPv4 (src, dst) pair into one injective uint64 —
 // src in the high 32 bits, dst in the low 32 — for flat dedup sets.
 // This is the single shared definition of the packed pair key the
-// campaign flush dedup relies on (it was previously open-coded at the
-// use sites); its bit layout is pinned by TestPairKey4Stability and
-// must never change, since presized map footprints and the golden
-// campaign digests were validated against it. ok is false for any
-// non-IPv4 operand (including 4-in-6 mapped addresses, which As4 would
-// accept but the historical open-coded Is4 guard rejected).
+// campaign flush dedup and the MPLS false-pair pass rely on; its bit
+// layout is pinned by TestPairKey4Stability and must never change,
+// since presized map footprints and the golden campaign digests were
+// validated against it. ok is false for any non-IPv4 operand
+// (including 4-in-6 mapped addresses, which As4 would accept but the
+// historical open-coded Is4 guard rejected).
 func PairKey4(src, dst netip.Addr) (uint64, bool) {
 	if !src.Is4() || !dst.Is4() {
 		return 0, false
 	}
 	s, d := src.As4(), dst.As4()
 	return uint64(binary.BigEndian.Uint32(s[:]))<<32 | uint64(binary.BigEndian.Uint32(d[:])), true
+}
+
+// UnpackPairKey4 inverts PairKey4: it returns the IPv4 (src, dst) pair
+// a packed key was built from.
+func UnpackPairKey4(k uint64) (src, dst netip.Addr) {
+	var s, d [4]byte
+	binary.BigEndian.PutUint32(s[:], uint32(k>>32))
+	binary.BigEndian.PutUint32(d[:], uint32(k))
+	return netip.AddrFrom4(s), netip.AddrFrom4(d)
 }

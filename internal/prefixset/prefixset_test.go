@@ -9,11 +9,12 @@ import (
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func mustA(s string) netip.Addr   { return netip.MustParseAddr(s) }
 
-// TestPairKey4Stability pins the packed pair-key bit layout: src in
-// the high 32 bits, dst in the low 32, big-endian byte order. The
-// campaign flush dedup and its presized map footprint were validated
-// against exactly this layout; a change here would silently invalidate
-// the golden campaign digests' performance envelope.
+// TestPairKey4Stability pins the packed pair-key bit layout — src in
+// the high 32 bits, dst in the low 32, big-endian byte order — and
+// round-trips every case through UnpackPairKey4. The campaign flush
+// dedup and its presized map footprint were validated against exactly
+// this layout; a change here would silently invalidate the golden
+// campaign digests' performance envelope.
 func TestPairKey4Stability(t *testing.T) {
 	cases := []struct {
 		src, dst string
@@ -29,6 +30,9 @@ func TestPairKey4Stability(t *testing.T) {
 		got, ok := PairKey4(mustA(c.src), mustA(c.dst))
 		if !ok || got != c.want {
 			t.Errorf("PairKey4(%s, %s) = %#x, %v; want %#x, true", c.src, c.dst, got, ok, c.want)
+		}
+		if s, d := UnpackPairKey4(c.want); s != mustA(c.src) || d != mustA(c.dst) {
+			t.Errorf("UnpackPairKey4(%#x) = %s, %s; want %s, %s", c.want, s, d, c.src, c.dst)
 		}
 	}
 	// Non-v4 operands (including 4-in-6) must refuse, matching the
