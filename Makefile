@@ -14,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: verify build test fmt vet perfbench race race-infer race-regiond equivalence chaos crash fib-diff bench bench-mem bench-sched bench-diff bench-scale bench-window fuzz-seg serve-bench profile clean
+.PHONY: verify build test fmt vet perfbench race race-infer race-regiond equivalence chaos crash fib-diff bench bench-mem bench-sched bench-diff bench-scale bench-window fuzz-seg fuzz-lookup serve-bench profile clean
 
-verify: fmt vet build test perfbench race race-infer race-regiond equivalence chaos crash fib-diff fuzz-seg bench-mem serve-bench bench-scale bench-window
+verify: fmt vet build test perfbench race race-infer race-regiond equivalence chaos crash fib-diff fuzz-seg fuzz-lookup bench-mem serve-bench bench-scale bench-window
 
 build:
 	$(GO) build ./...
@@ -57,10 +57,12 @@ race-infer:
 # FaultPlan may not move a byte. The netsim tests pin the fast path's
 # allocations (a compiled flow's probe allocates nothing, a compile two
 # objects) and the comap test holds the packed-key MPLS false-pair pass
-# to its [2]netip.Addr reference.
+# to its [2]netip.Addr reference. The snapshot tests hold regiond's
+# pre-encoded answers byte-identical to json.Encoder over the struct
+# API and pin their per-request allocations.
 equivalence:
-	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ -count=1 \
-		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference'
+	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ ./internal/snapshot/ -count=1 \
+		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs'
 
 # Graceful degradation: the faulted campaign must stay deterministic
 # across worker counts, account for every probe, and the chaos sweep's
@@ -132,6 +134,13 @@ bench-window:
 # inflation.
 fuzz-seg:
 	$(GO) test ./internal/traceroute/ -run XXX -fuzz FuzzSegmentDecode -fuzztime 5s
+
+# Lookup-query fuzz smoke: five seconds of raw addr/prefix strings
+# through regiond's /v1/lookup handler. Every query must answer 200,
+# 400 or 404 without a panic, and every 200 must decode to the struct
+# API's answer for the normalised query.
+fuzz-lookup:
+	$(GO) test ./cmd/regiond/ -run XXX -fuzz FuzzLookupQuery -fuzztime 5s
 
 # Scheduler speedup: the quickstart campaign at 1 vs N workers.
 bench-sched:

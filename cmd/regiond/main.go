@@ -1,9 +1,18 @@
 // Command regiond is the resident topology service: it runs the named
 // measurement study once at startup, compiles the inference into an
 // immutable snapshot per operator (see internal/snapshot), and serves
-// concurrent queries over HTTP — CO lookup by address or prefix through
-// the snapshot's compiled LPM tables, region-graph extracts, coverage
-// and confidence statistics, and the paper's Table 1 / Figure 7 series.
+// concurrent queries over HTTP — CO lookup by address (the snapshot's
+// compiled prefix-set trie) or prefix (its sorted address index),
+// region-graph extracts, coverage and confidence statistics, and the
+// paper's Table 1 / Figure 7 series.
+//
+// Lookup, region and report answers are encoded once, when the snapshot
+// is built, and each request copies those bytes into the response with
+// an exact Content-Length; the bytes equal what json.Encoder with
+// two-space indentation writes over the snapshot's struct API. Lookup
+// queries are normalised first: a v4-mapped address or prefix is
+// answered as its IPv4 form, a prefix is masked, and a zoned address,
+// an unparsable value or an empty query is a 400.
 //
 // Refreshes re-run the full campaign in the background and install the
 // new artifact with a single atomic pointer swap; queries in flight

@@ -19,7 +19,7 @@ import (
 // quickstartService builds a service over the quickstart-scale
 // single-region campaign, injected directly so the test does not pay
 // for the full-profile study run.
-func quickstartService(t *testing.T) *service {
+func quickstartService(t testing.TB) *service {
 	t.Helper()
 	scenario := topogen.NewScenario(42)
 	profile := topogen.ComcastProfile()

@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/netip"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/comap"
@@ -191,11 +194,69 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeJSON encodes a small or publication-dependent answer per
+// request; snapshot-derived answers are pre-encoded and go through
+// writeRaw instead.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// writeRaw serves a pre-encoded JSON body with its exact
+// Content-Length, so net/http sends it in one piece instead of chunked.
+func writeRaw(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// answerBufs recycles the buffers lookup answers are spliced into.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Named /v1/lookup query errors, each answered with a 400.
+var (
+	errNoQuery   = errors.New("need ?addr= or ?prefix=")
+	errZonedAddr = errors.New("bad addr: an IPv6 zone names a local link, not a mapped address")
+)
+
+// lookupQuery is one normalised /v1/lookup query: a valid prefix asks
+// for a range answer, otherwise addr asks for a single CO.
+type lookupQuery struct {
+	addr   netip.Addr
+	prefix netip.Prefix
+}
+
+// parseLookup normalises the raw addr and prefix query strings (addr
+// wins when both are set). A v4-mapped IPv6 address is unmapped; a
+// v4-mapped prefix of at least 96 bits becomes the IPv4 prefix of
+// bits-96; every prefix is masked to its network address. A zoned
+// address, an unparsable value and an empty query are errors.
+func parseLookup(addr, prefix string) (lookupQuery, error) {
+	switch {
+	case addr != "":
+		a, err := netip.ParseAddr(addr)
+		if err != nil {
+			return lookupQuery{}, fmt.Errorf("bad addr: %w", err)
+		}
+		if a.Zone() != "" {
+			return lookupQuery{}, errZonedAddr
+		}
+		return lookupQuery{addr: a.Unmap()}, nil
+	case prefix != "":
+		p, err := netip.ParsePrefix(prefix)
+		if err != nil {
+			return lookupQuery{}, fmt.Errorf("bad prefix: %w", err)
+		}
+		if a := p.Addr(); a.Is4In6() && p.Bits() >= 96 {
+			p = netip.PrefixFrom(a.Unmap(), p.Bits()-96)
+		}
+		return lookupQuery{prefix: p.Masked()}, nil
+	default:
+		return lookupQuery{}, errNoQuery
+	}
 }
 
 // handler builds the query surface. Every endpoint resolves one
@@ -232,33 +293,23 @@ func (s *service) handler() http.Handler {
 			return
 		}
 		q := r.URL.Query()
-		switch {
-		case q.Get("addr") != "":
-			addr, err := netip.ParseAddr(q.Get("addr"))
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad addr: %v", err)
-				return
-			}
-			co, ok := snap.LookupAddr(addr)
-			if !ok {
-				httpError(w, http.StatusNotFound, "%s maps to no CO", addr)
-				return
-			}
-			writeJSON(w, co)
-		case q.Get("prefix") != "":
-			p, err := netip.ParsePrefix(q.Get("prefix"))
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad prefix: %v", err)
-				return
-			}
-			cos := snap.LookupPrefix(p)
-			if cos == nil {
-				cos = []snapshot.CO{} // an empty range is [], not null
-			}
-			writeJSON(w, cos)
-		default:
-			httpError(w, http.StatusBadRequest, "need ?addr= or ?prefix=")
+		lq, err := parseLookup(q.Get("addr"), q.Get("prefix"))
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
+		buf := answerBufs.Get().(*[]byte)
+		defer answerBufs.Put(buf)
+		if lq.prefix.IsValid() {
+			*buf = snap.AppendPrefixJSON((*buf)[:0], lq.prefix)
+		} else {
+			var ok bool
+			if *buf, ok = snap.AppendAddrJSON((*buf)[:0], lq.addr); !ok {
+				httpError(w, http.StatusNotFound, "%s maps to no CO", lq.addr)
+				return
+			}
+		}
+		writeRaw(w, *buf)
 	})
 
 	mux.HandleFunc("GET /v1/regions", func(w http.ResponseWriter, r *http.Request) {
@@ -272,20 +323,19 @@ func (s *service) handler() http.Handler {
 		if snap == nil {
 			return
 		}
-		rr, ok := snap.Region(r.PathValue("name"))
+		body, ok := snap.RegionJSON(r.PathValue("name"))
 		if !ok {
 			httpError(w, http.StatusNotFound, "region %q not in snapshot", r.PathValue("name"))
 			return
 		}
-		writeJSON(w, rr)
+		writeRaw(w, body)
 	})
 
 	// The full report is pre-marshaled at snapshot build, so this is a
 	// single buffer write.
 	mux.HandleFunc("GET /v1/report", func(w http.ResponseWriter, r *http.Request) {
 		if snap := s.snap(w, r); snap != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(snap.ReportJSON())
+			writeRaw(w, snap.ReportJSON())
 		}
 	})
 

@@ -4,10 +4,11 @@
 // CO/edge storage (structure-of-arrays, region-major spans), a compiled
 // longest-prefix-match table from interface address to central office,
 // a sorted address index for prefix-range queries, and the pre-encoded
-// schema-versioned report JSON. Build it once, publish it through a
-// Store, and any number of goroutines query it concurrently with zero
-// locks — immutability is the whole synchronization story on the read
-// side.
+// JSON of every answer the service splices per request (the
+// schema-versioned report, each CO, each region extract). Build it
+// once, publish it through a Store, and any number of goroutines query
+// it concurrently with zero locks — immutability is the whole
+// synchronization story on the read side.
 //
 // Versioning: a Snapshot's content is fixed at Build; its Version is
 // stamped by the Store at publication (monotonic per Store). Refreshing
@@ -18,10 +19,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -122,6 +125,16 @@ type Snapshot struct {
 	reportJSON []byte
 	coverage   comap.CoverageReport
 
+	// Pre-encoded answers, one flat byte column plus an offsets column
+	// each (like coAddrs/coAddrOff). coJSON holds every CO in the form
+	// it takes as an element of an indented JSON array (see coIndent);
+	// regionJSON holds every region extract as a whole indented
+	// document with its trailing newline, in region order.
+	coJSON        []byte
+	coJSONOff     []uint32 // len = len(coKey)+1
+	regionJSON    []byte
+	regionJSONOff []uint32 // len = len(regions)+1
+
 	// digest is the FNV-1a content digest computed as the final build
 	// step; Consistent() re-derives it. Version is deliberately outside
 	// the digest: publication stamps it after content is sealed.
@@ -210,9 +223,51 @@ func Build(meta Meta, res *comap.Result) (*Snapshot, error) {
 	// above, so prepend once.
 	s.coAddrOff = append([]uint32{0}, s.coAddrOff...)
 
+	if err := s.encodeAnswers(); err != nil {
+		return nil, err
+	}
 	s.buildAddrIndex()
 	s.digest = s.computeDigest()
 	return s, nil
+}
+
+// coIndent is the line prefix of a CO fragment: an element of a JSON
+// array encoded with two-space indentation sits one level deep.
+const coIndent = "  "
+
+// encodeAnswers pre-encodes every snapshot-derived answer exactly as an
+// encoding/json Encoder with SetIndent("", "  ") writes it, so the
+// service serves bytes instead of reflecting over structs per request.
+// A CO is stored as an array element — encoded with prefix coIndent
+// behind a leading coIndent, without the Encoder's trailing newline —
+// which a range answer splices as is and a single-CO answer un-indents
+// (AppendAddrJSON). A region extract is stored as the whole answer.
+func (s *Snapshot) encodeAnswers() error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent(coIndent, "  ")
+	s.coJSONOff = make([]uint32, 1, len(s.coKey)+1)
+	for i := range s.coKey {
+		buf.WriteString(coIndent)
+		if err := enc.Encode(s.co(uint32(i))); err != nil {
+			return fmt.Errorf("snapshot: encode CO %s: %w", s.syms.Str(s.coKey[i]), err)
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's trailing newline
+		s.coJSONOff = append(s.coJSONOff, uint32(buf.Len()))
+	}
+	s.coJSON = bytes.Clone(buf.Bytes())
+
+	buf.Reset()
+	enc.SetIndent("", "  ")
+	s.regionJSONOff = make([]uint32, 1, len(s.regions)+1)
+	for i := range s.regions {
+		if err := enc.Encode(&s.report.Regions[i]); err != nil {
+			return fmt.Errorf("snapshot: encode region %s: %w", s.syms.Str(s.regions[i].name), err)
+		}
+		s.regionJSONOff = append(s.regionJSONOff, uint32(buf.Len()))
+	}
+	s.regionJSON = bytes.Clone(buf.Bytes())
+	return nil
 }
 
 // buildAddrIndex compiles the two address-query structures: the sorted
@@ -331,6 +386,14 @@ func (s *Snapshot) computeDigest() uint64 {
 		h.Write([]byte(rm.aggType))
 	}
 	h.Write(s.reportJSON)
+	for _, off := range s.coJSONOff {
+		wu32(off)
+	}
+	h.Write(s.coJSON)
+	for _, off := range s.regionJSONOff {
+		wu32(off)
+	}
+	h.Write(s.regionJSON)
 	return h.Sum64()
 }
 
@@ -358,6 +421,10 @@ func (s *Snapshot) Consistent() bool {
 	if len(s.addrCO) != len(s.addrSorted) || s.addrToCO == nil {
 		return false
 	}
+	if len(s.coJSONOff) != n+1 || int(s.coJSONOff[n]) != len(s.coJSON) ||
+		len(s.regionJSONOff) != len(s.regions)+1 || int(s.regionJSONOff[len(s.regions)]) != len(s.regionJSON) {
+		return false
+	}
 	return s.digest == s.computeDigest()
 }
 
@@ -380,39 +447,137 @@ func (s *Snapshot) co(i uint32) CO {
 	}
 }
 
-// LookupAddr resolves an interface address to its central office via
-// the compiled prefix-set trie: longest match, so an exact interface
-// entry beats its block aggregate. ok is false when no mapped CO
-// covers the address.
-func (s *Snapshot) LookupAddr(a netip.Addr) (CO, bool) {
+// lookupCO resolves an interface address to its CO index via the
+// compiled prefix-set trie: longest match, so an exact interface entry
+// beats its block aggregate.
+func (s *Snapshot) lookupCO(a netip.Addr) (uint32, bool) {
 	if s.addrToCO == nil {
-		return CO{}, false
+		return 0, false
 	}
 	co, ok := s.addrToCO.Lookup(a)
+	return uint32(co), ok
+}
+
+// LookupAddr resolves an interface address to its central office. ok
+// is false when no mapped CO covers the address.
+func (s *Snapshot) LookupAddr(a netip.Addr) (CO, bool) {
+	co, ok := s.lookupCO(a)
 	if !ok {
 		return CO{}, false
 	}
-	return s.co(uint32(co)), true
+	return s.co(co), true
 }
 
-// LookupPrefix returns every CO with at least one interface address
-// inside the prefix, in address order with duplicates removed, via a
-// binary search over the sorted address index.
-func (s *Snapshot) LookupPrefix(p netip.Prefix) []CO {
+// AppendAddrJSON appends LookupAddr's answer for a, encoded as an
+// indented JSON document with a trailing newline, to dst. It copies the
+// CO's pre-encoded fragment, dropping the array-element indent after
+// every newline, and allocates nothing when dst has room. ok is false
+// (and dst returned unchanged) when no mapped CO covers a.
+func (s *Snapshot) AppendAddrJSON(dst []byte, a netip.Addr) ([]byte, bool) {
+	co, ok := s.lookupCO(a)
+	if !ok {
+		return dst, false
+	}
+	// Encoded JSON strings escape newlines, so every raw newline in a
+	// fragment is layout, followed by exactly one coIndent.
+	frag := s.coJSON[int(s.coJSONOff[co])+len(coIndent) : s.coJSONOff[co+1]]
+	dst = slices.Grow(dst, len(frag)+1-len(coIndent)*bytes.Count(frag, []byte{'\n'}))
+	for {
+		i := bytes.IndexByte(frag, '\n')
+		if i < 0 {
+			break
+		}
+		dst = append(dst, frag[:i+1]...)
+		frag = frag[i+1+len(coIndent):]
+	}
+	return append(append(dst, frag...), '\n'), true
+}
+
+// ownerWalk is the one range walker behind LookupPrefix and
+// AppendPrefixJSON: it reports each CO owning an address in
+// addrSorted[lo:hi) once, in first-address order, deduplicating with a
+// per-call bitset over CO indexes.
+type ownerWalk struct {
+	s         *Snapshot
+	lo, hi, i int
+	seen      []uint64
+}
+
+// walkOwners positions a walker over the addresses inside p (masked
+// first) by binary search over the sorted address index. An empty
+// range allocates nothing.
+func (s *Snapshot) walkOwners(p netip.Prefix) ownerWalk {
 	p = p.Masked()
 	lo := sort.Search(len(s.addrSorted), func(i int) bool {
 		return !s.addrSorted[i].Less(p.Addr())
 	})
-	var out []CO
-	seen := map[uint32]bool{}
-	for i := lo; i < len(s.addrSorted) && p.Contains(s.addrSorted[i]); i++ {
-		co := s.addrCO[i]
-		if !seen[co] {
-			seen[co] = true
-			out = append(out, s.co(co))
+	// The addresses p contains are contiguous from lo on.
+	hi := lo + sort.Search(len(s.addrSorted)-lo, func(i int) bool {
+		return !p.Contains(s.addrSorted[lo+i])
+	})
+	w := ownerWalk{s: s, lo: lo, hi: hi, i: lo}
+	if hi > lo {
+		w.seen = make([]uint64, (len(s.coKey)+63)/64)
+	}
+	return w
+}
+
+// next returns the next CO not yet reported, or ok=false at the end of
+// the range.
+func (w *ownerWalk) next() (co uint32, ok bool) {
+	for w.i < w.hi {
+		co = w.s.addrCO[w.i]
+		w.i++
+		if bit := uint64(1) << (co % 64); w.seen[co/64]&bit == 0 {
+			w.seen[co/64] |= bit
+			return co, true
 		}
 	}
+	return 0, false
+}
+
+// rewind restarts the walk from the first address of the range.
+func (w *ownerWalk) rewind() {
+	w.i = w.lo
+	clear(w.seen)
+}
+
+// LookupPrefix returns every CO with at least one interface address
+// inside the prefix, in address order with duplicates removed.
+func (s *Snapshot) LookupPrefix(p netip.Prefix) []CO {
+	w := s.walkOwners(p)
+	var out []CO
+	for co, ok := w.next(); ok; co, ok = w.next() {
+		out = append(out, s.co(co))
+	}
 	return out
+}
+
+// AppendPrefixJSON appends LookupPrefix's answer for p, encoded as an
+// indented JSON array with a trailing newline ("[]\n" for an empty
+// range), to dst. A first walk sizes dst exactly; the second splices
+// the pre-encoded CO fragments. Its only allocation is the walker's
+// dedup bitset (and dst's growth when it lacks room).
+func (s *Snapshot) AppendPrefixJSON(dst []byte, p netip.Prefix) []byte {
+	w := s.walkOwners(p)
+	n, size := 0, 0
+	for co, ok := w.next(); ok; co, ok = w.next() {
+		n++
+		size += int(s.coJSONOff[co+1] - s.coJSONOff[co])
+	}
+	if n == 0 {
+		return append(dst, "[]\n"...)
+	}
+	// "[" + n × "\n"+fragment + (n-1) × "," + "\n]\n".
+	dst = slices.Grow(dst, size+2*n+3)
+	w.rewind()
+	sep := byte('[')
+	for co, ok := w.next(); ok; co, ok = w.next() {
+		dst = append(dst, sep, '\n')
+		dst = append(dst, s.coJSON[s.coJSONOff[co]:s.coJSONOff[co+1]]...)
+		sep = ','
+	}
+	return append(dst, "\n]\n"...)
 }
 
 // RegionNames returns the region names in canonical (sorted) order.
@@ -433,6 +598,18 @@ func (s *Snapshot) Region(name string) (*comap.RegionReport, bool) {
 		return nil, false
 	}
 	return &s.report.Regions[i], true
+}
+
+// RegionJSON returns Region's extract pre-encoded as indented JSON with
+// a trailing newline, or ok=false for an unknown region. The bytes
+// alias the snapshot: callers must not modify them.
+func (s *Snapshot) RegionJSON(name string) ([]byte, bool) {
+	i, ok := s.regionIdx[name]
+	if !ok {
+		return nil, false
+	}
+	lo, hi := s.regionJSONOff[i], s.regionJSONOff[i+1]
+	return s.regionJSON[lo:hi:hi], true
 }
 
 // RegionCOs returns one region's COs as materialized views, in key
