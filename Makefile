@@ -47,7 +47,7 @@ race:
 # multi-grid campaigns).
 race-infer:
 	$(GO) test -race -short -count=1 \
-		-run 'MapFold|Reduce|Deterministic|GoldenDigest|NodeAddrsSorted' \
+		-run 'MapFold|Reduce|Deterministic|GoldenDigest|NodeAddrsSorted|ConcurrentLookupsOnCompacted' \
 		./internal/probesched/ ./internal/comap/ ./internal/core/ ./internal/alias/ ./internal/mobilemap/ ./internal/dnsdb/
 
 # Probe fast-path equivalence: the campaign digest must match the
@@ -59,10 +59,13 @@ race-infer:
 # objects) and the comap test holds the packed-key MPLS false-pair pass
 # to its [2]netip.Addr reference. The snapshot tests hold regiond's
 # pre-encoded answers byte-identical to json.Encoder over the struct
-# API and pin their per-request allocations.
+# API and pin their per-request allocations. The AddrID tests hold the
+# archive's interned address IDs to first-seen fold order: the same ID
+# table and per-path ID sequences at every worker count and window
+# size, and after a durable kill-and-resume.
 equivalence:
 	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ ./internal/snapshot/ -count=1 \
-		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs'
+		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs|TestAddrIDsStableAcrossWorkersAndWindows|TestArchiveInternsFirstSeen'
 
 # Graceful degradation: the faulted campaign must stay deterministic
 # across worker counts, account for every probe, and the chaos sweep's
@@ -102,7 +105,7 @@ fib-diff:
 
 # Anti-superlinear scaling gate: run the end-to-end cable campaign at
 # 1x/3x/10x topology scale (10x = 340 regions, >1M allocated subscriber
-# addresses across both operators), archive the curve as BENCH_PR7.json,
+# addresses across both operators), archive the curve as BENCH_SCALE.json,
 # and fail when the 10x/1x wall-time ratio exceeds 18 (a quadratic term
 # in any stage pushes it past 40). -benchtime 1x: each scale point is a
 # full campaign, one run each is the measurement — which makes the
@@ -115,17 +118,17 @@ fib-diff:
 bench-scale:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScaleCampaign \
 		-benchmem -benchtime 1x -timeout 30m \
-		| $(GO) run ./cmd/benchjson -scale-gate 18 > BENCH_PR7.json
+		| $(GO) run ./cmd/benchjson -scale-gate 18 > BENCH_SCALE.json
 
 # Streaming-engine memory gate: the 10x campaign through shrinking
 # trace windows against the 1x and 10x resident anchors, archived as
-# BENCH_PR8.json. benchjson -mem-ceiling 3 fails when the smallest
+# BENCH_WINDOW.json. benchjson -mem-ceiling 3 fails when the smallest
 # windowed 10x run allocates more than 3x the 1x resident baseline per
 # op — windowed memory must track the window, not the campaign.
 bench-window:
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkWindowedCampaign \
 		-benchmem -benchtime 1x -timeout 30m \
-		| $(GO) run ./cmd/benchjson -mem-ceiling 3 > BENCH_PR8.json
+		| $(GO) run ./cmd/benchjson -mem-ceiling 3 > BENCH_WINDOW.json
 
 # Segment-decoder fuzz smoke: five seconds of coverage-guided mutation
 # over the spill-log frames. The decoder must reject arbitrary
@@ -177,12 +180,12 @@ bench-diff:
 # snapshot store from 10k concurrent clients while three background
 # refreshes swap the artifact, and benchjson archives the per-op
 # mean/p50/p99 latencies and throughput (the p50_ns/p99_ns/qps pairs
-# land in each entry's extra-metrics map) as BENCH_PR6.json. The race
+# land in each entry's extra-metrics map) as BENCH_SERVE.json. The race
 # half of the same guarantee — no torn snapshot is ever observable —
 # runs under `make race` via internal/snapshot's swap test.
 serve-bench:
 	$(GO) run ./cmd/regiond -loadgen -clients 10000 -duration 2s -swaps 3 \
-		| $(GO) run ./cmd/benchjson > BENCH_PR6.json
+		| $(GO) run ./cmd/benchjson > BENCH_SERVE.json
 
 # CPU+heap profiles of a full campaign run, ready for `go tool pprof`.
 profile:

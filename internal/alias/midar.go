@@ -30,7 +30,7 @@ import (
 //     distinct routers differ either in phase (alternating residual) or
 //     in velocity (residual growing with the gap), so a small maximum
 //     residual rejects them.
-func (r *Resolver) midar(targets []netip.Addr, res *Result) {
+func (r *Resolver) midar(targets []netip.Addr, idx []int32, res *Result) {
 	// Compile each target's forwarding path once up front; every
 	// estimation-round and MBT probe across every pass replays the
 	// compiled flow. Flow.Probe is bit-identical to Network.Probe (see
@@ -44,7 +44,7 @@ func (r *Resolver) midar(targets []netip.Addr, res *Result) {
 		flows[i] = r.Net.CompileFlow(r.VP, t, 0)
 	}
 	for pass := 0; pass < r.Passes; pass++ {
-		r.midarPass(targets, flows, res, pass)
+		r.midarPass(idx, flows, res, pass)
 	}
 }
 
@@ -62,23 +62,25 @@ type midarScratch struct {
 	times     []float64
 }
 
-func (r *Resolver) midarPass(targets []netip.Addr, flows []netsim.Flow, res *Result, pass int) {
+// midarPass runs one estimation-and-pairing round over the targets
+// whose Result indexes are idx (flows indexed alike).
+func (r *Resolver) midarPass(idx []int32, flows []netsim.Flow, res *Result, pass int) {
 	epoch := r.Clock.Now()
 	es := r.EstimationSamples
 	sc := &r.scratch
-	if cap(sc.samples) < len(targets)*es {
-		sc.samples = make([]ipidSample, len(targets)*es)
+	if cap(sc.samples) < len(idx)*es {
+		sc.samples = make([]ipidSample, len(idx)*es)
 	}
-	if cap(sc.counts) < len(targets) {
-		sc.counts = make([]int, len(targets))
+	if cap(sc.counts) < len(idx) {
+		sc.counts = make([]int, len(idx))
 	}
-	grid := sc.samples[:len(targets)*es]
-	counts := sc.counts[:len(targets)]
+	grid := sc.samples[:len(idx)*es]
+	counts := sc.counts[:len(idx)]
 	for i := range counts {
 		counts[i] = 0
 	}
 	for round := 0; round < es; round++ {
-		for i := range targets {
+		for i := range idx {
 			reply := flows[i].Probe(r.Clock.Now(), 64, netsim.ICMPEcho, uint32(1000+pass*32+round))
 			r.observe(reply, false)
 			if reply.Type == netsim.EchoReply {
@@ -96,7 +98,7 @@ func (r *Resolver) midarPass(targets []netip.Addr, flows []netsim.Flow, res *Res
 	// order, preserving the target-order candidate list the pairing
 	// stage expects.
 	pool := probesched.New(r.Parallelism, nil)
-	cands := probesched.Reduce(pool, len(targets),
+	cands := probesched.Reduce(pool, len(idx),
 		func() []candidate { return nil },
 		func(out []candidate, i int) []candidate {
 			s := grid[i*es : i*es+counts[i]]
@@ -109,7 +111,7 @@ func (r *Resolver) midarPass(targets []netip.Addr, flows []netsim.Flow, res *Res
 			if !ok {
 				return out
 			}
-			c.addr = targets[i]
+			c.idx = idx[i]
 			c.flow = &flows[i]
 			return append(out, c)
 		},
@@ -119,15 +121,17 @@ func (r *Resolver) midarPass(targets []netip.Addr, flows []netsim.Flow, res *Res
 	// each candidate to neighbors within the projection window,
 	// including wraparound pairs.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].projected < cands[j].projected })
+	// The velocity test is a float compare; it goes first, and only
+	// compatible pairs pay for the union-find root compare.
 	test := func(i, j int) {
-		if res.SameRouter(cands[i].addr, cands[j].addr) {
-			return
-		}
 		if !velocityCompatible(cands[i].velocity, cands[j].velocity, r.VelocityTolerance) {
 			return
 		}
+		if res.find(cands[i].idx) == res.find(cands[j].idx) {
+			return
+		}
 		if r.monotonicBoundTest(cands[i], cands[j]) {
-			res.union(cands[i].addr, cands[j].addr)
+			res.union(cands[i].idx, cands[j].idx)
 			res.MIDARPairs++
 		}
 	}

@@ -223,8 +223,20 @@ func (c *Campaign) mapRegion(eng *traceroute.Engine, tag string, vps []netip.Add
 	sort.Slice(aliasTargets, func(i, j int) bool { return aliasTargets[i].Less(aliasTargets[j]) })
 	resolver := &alias.Resolver{Net: c.Net, Clock: c.Clock, VP: vps[0], Parallelism: c.Parallelism, Stats: stats}
 	groups := resolver.Resolve(aliasTargets)
+	// A target's router is its alias group's smallest address; a target
+	// in no multi-member group is its own router.
+	rep := map[netip.Addr]netip.Addr{}
+	for _, g := range groups.Groups() {
+		for _, a := range g {
+			rep[a] = g[0]
+		}
+	}
 	for _, a := range aliasTargets {
-		rm.RouterOf[a] = groups.GroupOf(a)[0]
+		if r, ok := rep[a]; ok {
+			rm.RouterOf[a] = r
+		} else {
+			rm.RouterOf[a] = a
+		}
 	}
 	router := func(a netip.Addr) netip.Addr {
 		if r, ok := rm.RouterOf[a]; ok {

@@ -93,7 +93,7 @@ func BuildCoverage(col *Collection, inf *Inference) CoverageReport {
 		TruncatedTraces: col.TruncatedTraces,
 		HopRowsProbed:   col.HopRowsProbed,
 		HopRowsAnswered: col.HopRowsAnswered,
-		DistinctAddrs:   len(col.Observed),
+		DistinctAddrs:   col.NumObserved(),
 		QuarantinedVPs:  col.Quarantined,
 	}
 	if inf == nil {

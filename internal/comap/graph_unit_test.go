@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/symtab"
 )
 
 // buildGraph constructs a RegionGraph from edge pairs.
@@ -204,17 +206,20 @@ func TestDegreesAndRoleAccessors(t *testing.T) {
 }
 
 func TestMajority(t *testing.T) {
-	top, tied := majority(map[string]int{"a": 3, "b": 1})
-	if top != "a" || tied {
-		t.Errorf("majority = %q tied=%v", top, tied)
+	tab := symtab.New(0)
+	b, a := tab.Intern("b"), tab.Intern("a")
+	top, tied := majoritySym(tab, map[symtab.Sym]int{a: 3, b: 1})
+	if top != a || tied {
+		t.Errorf("majority = %q tied=%v", tab.Str(top), tied)
 	}
-	_, tied = majority(map[string]int{"a": 2, "b": 2})
-	if !tied {
-		t.Error("tie not detected")
+	// A tie is reported, with the lexicographically smallest key as
+	// representative although it was interned second.
+	top, tied = majoritySym(tab, map[symtab.Sym]int{a: 2, b: 2})
+	if !tied || top != a {
+		t.Errorf("tied majority = %q tied=%v, want a tied=true", tab.Str(top), tied)
 	}
-	top, tied = majority(map[string]int{})
-	if top != "" || tied {
-		t.Errorf("empty majority = %q tied=%v", top, tied)
+	if _, tied = majoritySym(tab, map[symtab.Sym]int{}); tied {
+		t.Error("empty majority reported a tie")
 	}
 }
 

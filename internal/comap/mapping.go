@@ -58,9 +58,7 @@ func BuildMappingParallel(col *Collection, dns *dnsdb.DB, isp string, workers in
 	// traceroutes, every scan target, and every alias target (which
 	// includes /30 neighbors).
 	universe := map[netip.Addr]bool{}
-	for a := range col.Observed {
-		universe[a] = true
-	}
+	col.eachObserved(func(a netip.Addr) { universe[a] = true })
 	for _, a := range col.ScanTargets {
 		universe[a] = true
 	}
@@ -163,7 +161,7 @@ func BuildMappingParallel(col *Collection, dns *dnsdb.DB, isp string, workers in
 
 	// Infer the operator's point-to-point subnet convention from the
 	// addresses in the traceroutes.
-	m.P2PBits = inferP2PBits(pool, col, m)
+	m.P2PBits = inferP2PBits(col, m)
 
 	// Point-to-point-subnet refinement (Fig. 19): for each observed
 	// adjacency x -> y, the other address of y's subnet most likely
@@ -171,37 +169,19 @@ func BuildMappingParallel(col *Collection, dns *dnsdb.DB, isp string, workers in
 	// Each distinct mate contributes one vote regardless of how many
 	// paths crossed the link (Fig. 19 counts addresses, not packets),
 	// so one stale mate on a busy link cannot outvote the fresh ones.
-	// The scan shards the paths across workers, accumulating the SET of
-	// distinct (x, mate) pairs (union across shards restores the
-	// sequential dedup); votes are then counted off the merged set, so a
-	// pair straddling two shards still contributes exactly one vote.
-	seenMate := foldPaths(pool, col,
-		func() map[[2]netip.Addr]bool { return map[[2]netip.Addr]bool{} },
-		func(set map[[2]netip.Addr]bool, _ int, p Path, _ string) map[[2]netip.Addr]bool {
-			for i := 1; i < len(p.Hops); i++ {
-				if p.Gaps[i] {
-					continue
-				}
-				x, y := p.Hops[i-1], p.Hops[i]
-				mate, ok := p2pMate(y, m.P2PBits)
-				if !ok || mate == x {
-					// When the mate is x itself the link is already
-					// self-evident; no extra information.
-					continue
-				}
-				set[[2]netip.Addr{x, mate}] = true
-			}
-			return set
-		},
-		func(into, from map[[2]netip.Addr]bool) map[[2]netip.Addr]bool {
-			for k := range from {
-				into[k] = true
-			}
-			return into
-		})
-	mateVotes := map[netip.Addr]map[symtab.Sym]int{}
-	for pair := range seenMate {
-		x, mate := pair[0], pair[1]
+	// The mate is a bijection on the addresses it is defined for, so
+	// the distinct (x, mate) pairs are exactly the archive's distinct
+	// gap-free adjacencies (x, y) whose y has a mate — the cached
+	// adjacency set, with no further path scan.
+	mateVotes := map[AddrID]map[symtab.Sym]int{}
+	for _, k := range col.adjacencies(pool) {
+		x, y := AddrID(k>>32), AddrID(k)
+		mate, ok := p2pMate(col.Addr(y), m.P2PBits)
+		if !ok || mate == col.Addr(x) {
+			// When the mate is x itself the link is already
+			// self-evident; no extra information.
+			continue
+		}
 		co, ok := m.COSym[mate]
 		if !ok {
 			continue
@@ -211,7 +191,8 @@ func BuildMappingParallel(col *Collection, dns *dnsdb.DB, isp string, workers in
 		}
 		mateVotes[x][co]++
 	}
-	for x, votes := range mateVotes {
+	for id, votes := range mateVotes {
+		x := col.Addr(id)
 		cur, has := m.COSym[x]
 		if has {
 			votes[cur]++ // the existing mapping counts as one vote
@@ -243,27 +224,10 @@ func BuildMappingParallel(col *Collection, dns *dnsdb.DB, isp string, workers in
 	return m
 }
 
-// majority returns the key with the strictly highest count; tied is true
-// when two keys share the maximum.
-func majority(votes map[string]int) (string, bool) {
-	best, bestN, tied := "", -1, false
-	for k, n := range votes {
-		switch {
-		case n > bestN:
-			best, bestN, tied = k, n, false
-		case n == bestN:
-			tied = true
-			if k < best {
-				best = k // deterministic representative
-			}
-		}
-	}
-	return best, tied
-}
-
-// majoritySym is majority over interned keys. The tie-break compares the
-// interned strings (not the Sym IDs) so the deterministic representative
-// is the same key the string-keyed implementation would pick.
+// majoritySym returns the interned key with the strictly highest count;
+// tied is true when two keys share the maximum. The tie-break compares
+// the interned strings (not the Sym IDs) so the deterministic
+// representative is the lexicographically smallest key.
 func majoritySym(t *symtab.Table, votes map[symtab.Sym]int) (symtab.Sym, bool) {
 	var best symtab.Sym
 	bestN, tied := -1, false
@@ -290,39 +254,24 @@ func isBackboneKey(key string) bool {
 // only ever expose offsets 1 and 2 (offsets 0 and 3 are the network and
 // broadcast addresses), while /31 subnets use all four offsets evenly.
 // Loopback-style canonical reply addresses add uniform noise, so the
-// decision threshold sits well above it.
-func inferP2PBits(pool *probesched.Pool, col *Collection, m *Mapping) int {
-	// Sharded census: accumulate the set of distinct qualifying
-	// addresses (union across shards = the sequential dedup), then count
-	// last-two-bit offsets off the merged set.
-	seen := foldPaths(pool, col,
-		func() map[netip.Addr]bool { return map[netip.Addr]bool{} },
-		func(set map[netip.Addr]bool, _ int, p Path, _ string) map[netip.Addr]bool {
-			end := len(p.Hops)
-			if p.Reached {
-				end-- // the destination itself may be a host, not a router
-			}
-			for i := 0; i < end; i++ {
-				h := p.Hops[i]
-				if !h.Is4() || set[h] {
-					continue
-				}
-				if _, ok := m.COSym[h]; !ok {
-					continue // only the operator's own infrastructure counts
-				}
-				set[h] = true
-			}
-			return set
-		},
-		func(into, from map[netip.Addr]bool) map[netip.Addr]bool {
-			for a := range from {
-				into[a] = true
-			}
-			return into
-		})
+// decision threshold sits well above it. The census counts each
+// distinct mapped IPv4 address that answered at an interior path
+// position — the flagInterior bit the collection fold sets — so it
+// needs no path scan.
+func inferP2PBits(col *Collection, m *Mapping) int {
 	var offsets [4]int
-	for a := range seen {
-		offsets[a.As4()[3]&3]++
+	for id, f := range col.flags {
+		if f&flagInterior == 0 {
+			continue
+		}
+		h := col.addrs[id]
+		if !h.Is4() {
+			continue
+		}
+		if _, ok := m.COSym[h]; !ok {
+			continue // only the operator's own infrastructure counts
+		}
+		offsets[h.As4()[3]&3]++
 	}
 	total := offsets[0] + offsets[1] + offsets[2] + offsets[3]
 	if total == 0 {
@@ -333,4 +282,26 @@ func inferP2PBits(pool *probesched.Pool, col *Collection, m *Mapping) int {
 		return 31
 	}
 	return 30
+}
+
+// noCO marks an AddrID without a CO mapping in coByID columns.
+const noCO = ^symtab.Sym(0)
+
+// coByID is the mapping as a dense per-AddrID column: out[id] is the
+// CO symbol of col.Addr(id), or noCO. The lookups shard across the
+// pool (disjoint writes into one slice).
+func coByID(pool *probesched.Pool, col *Collection, m *Mapping) []symtab.Sym {
+	out := make([]symtab.Sym, col.NumAddrs())
+	probesched.Reduce(pool, len(out),
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, id int) struct{} {
+			if s, ok := m.COSym[col.addrs[id]]; ok {
+				out[id] = s
+			} else {
+				out[id] = noCO
+			}
+			return struct{}{}
+		},
+		func(into, _ struct{}) struct{} { return into })
+	return out
 }

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dnsdb"
-	"repro/internal/probesched"
 	"repro/internal/symtab"
 )
 
@@ -112,13 +111,12 @@ func TestInitialMappingPriorities(t *testing.T) {
 	// Subscriber name: never mapped.
 	dns.SetSnapshot(a("10.0.0.3"), "c-10-0-0-3.hsd1.us.comcast.net")
 
-	col := &Collection{
-		Observed: map[netip.Addr]bool{
-			a("10.0.0.1"): true, a("10.0.0.2"): true, a("10.0.0.3"): true,
-		},
-		FalsePairs:  map[[2]netip.Addr]bool{},
-		DirectPairs: map[[2]netip.Addr]bool{},
-	}
+	// The three addresses answer on one path, gapped apart so the
+	// subnet stage sees no adjacency.
+	col := newTestCollection(addrPath{
+		Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.2"), a("10.0.0.3")},
+		Gaps: []bool{false, true, true},
+	})
 	m := BuildMappingParallel(col, dns, "comcast", 1)
 	if got := m.CO[a("10.0.0.1")]; got != "bverton/fresh.or" {
 		t.Errorf("priority mapping = %q, want the live name's CO", got)
@@ -150,22 +148,12 @@ func TestSubnetRefinementVote(t *testing.T) {
 	name("10.0.0.5", "cothree") // y itself: the next router
 	name("10.0.0.9", "cothree")
 
-	col := &Collection{
-		Observed:    map[netip.Addr]bool{},
-		FalsePairs:  map[[2]netip.Addr]bool{},
-		DirectPairs: map[[2]netip.Addr]bool{},
-		Paths: []Path{
-			{Src: a("192.0.2.1"), Dst: a("198.51.100.1"),
-				Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.5")}, Gaps: []bool{false, false}},
-			{Src: a("192.0.2.1"), Dst: a("198.51.100.2"),
-				Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9")}, Gaps: []bool{false, false}},
-		},
-	}
-	for _, p := range col.Paths {
-		for _, h := range p.Hops {
-			col.Observed[h] = true
-		}
-	}
+	col := newTestCollection(
+		addrPath{Src: a("192.0.2.1"), Dst: a("198.51.100.1"),
+			Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.5")}, Gaps: []bool{false, false}},
+		addrPath{Src: a("192.0.2.1"), Dst: a("198.51.100.2"),
+			Hops: []netip.Addr{a("10.0.0.1"), a("10.0.0.9")}, Gaps: []bool{false, false}},
+	)
 	// Make the mates visible to the mapping universe via alias targets.
 	col.AliasTargets = []netip.Addr{a("10.0.0.6"), a("10.0.0.10")}
 
@@ -180,35 +168,31 @@ func TestSubnetRefinementVote(t *testing.T) {
 
 func TestInferP2PBitsFromOffsets(t *testing.T) {
 	mk := func(addrs ...string) (*Collection, *Mapping) {
-		col := &Collection{FalsePairs: map[[2]netip.Addr]bool{}, DirectPairs: map[[2]netip.Addr]bool{}}
 		m := &Mapping{
 			CO:    map[netip.Addr]string{},
 			Syms:  symtab.New(0),
 			COSym: map[netip.Addr]symtab.Sym{},
 		}
 		var hops []netip.Addr
-		var gaps []bool
 		for _, s := range addrs {
 			hops = append(hops, a(s))
-			gaps = append(gaps, false)
 			m.CO[a(s)] = "r/c" + s
 			m.COSym[a(s)] = m.Syms.Intern("r/c" + s)
 		}
-		col.Paths = []Path{{Hops: hops, Gaps: gaps}}
-		return col, m
+		return newTestCollection(addrPath{Hops: hops}), m
 	}
 	// /30 style: offsets 1 and 2 only.
 	col, m := mk("10.0.0.1", "10.0.1.2", "10.0.2.1", "10.0.3.2", "10.0.4.1")
-	if got := inferP2PBits(probesched.New(1, nil), col, m); got != 30 {
+	if got := inferP2PBits(col, m); got != 30 {
 		t.Errorf("offsets {1,2} inferred /%d, want /30", got)
 	}
 	// /31 style: all offsets.
 	col, m = mk("10.0.0.0", "10.0.1.3", "10.0.2.1", "10.0.3.2", "10.0.4.0", "10.0.5.3")
-	if got := inferP2PBits(probesched.New(1, nil), col, m); got != 31 {
+	if got := inferP2PBits(col, m); got != 31 {
 		t.Errorf("uniform offsets inferred /%d, want /31", got)
 	}
 	// No data: default /30.
-	if got := inferP2PBits(probesched.New(1, nil), &Collection{}, &Mapping{COSym: map[netip.Addr]symtab.Sym{}}); got != 30 {
+	if got := inferP2PBits(&Collection{}, &Mapping{COSym: map[netip.Addr]symtab.Sym{}}); got != 30 {
 		t.Errorf("empty default = /%d", got)
 	}
 }

@@ -80,8 +80,9 @@ func (r *Result) StageAdjacencies() map[string]int {
 	pool := probesched.New(r.workers, nil)
 	// Region lookups go through a snapshot of the per-symbol region tags
 	// (the interned table is append-only, so the snapshot covers every
-	// symbol the mapping can produce) and the pair sets are keyed by
-	// interned symbols — no strings on the scan path.
+	// symbol the mapping can produce), hops resolve to COs through the
+	// dense per-AddrID column, and the pair sets are keyed by packed
+	// interned symbols — no strings or address hashes on the scan path.
 	m := r.Mapping
 	regions := make([]struct {
 		region symtab.Sym
@@ -93,16 +94,16 @@ func (r *Result) StageAdjacencies() map[string]int {
 			regions[s].ok = true
 		}
 	}
+	coOf := coByID(pool, r.Collection, m)
 	perStage := foldPaths(pool, r.Collection,
-		func() map[string]map[[2]symtab.Sym]bool { return map[string]map[[2]symtab.Sym]bool{} },
-		func(acc map[string]map[[2]symtab.Sym]bool, _ int, p Path, stage string) map[string]map[[2]symtab.Sym]bool {
+		func() map[string]map[uint64]struct{} { return map[string]map[uint64]struct{}{} },
+		func(acc map[string]map[uint64]struct{}, _ int, p Path, stage string) map[string]map[uint64]struct{} {
 			for h := 1; h < len(p.Hops); h++ {
 				if p.Gaps[h] {
 					continue
 				}
-				a, oka := m.COSym[p.Hops[h-1]]
-				b, okb := m.COSym[p.Hops[h]]
-				if !oka || !okb || a == b {
+				a, b := coOf[p.Hops[h-1]], coOf[p.Hops[h]]
+				if a == noCO || b == noCO || a == b {
 					continue
 				}
 				ra, rb := regions[a], regions[b]
@@ -110,21 +111,15 @@ func (r *Result) StageAdjacencies() map[string]int {
 					continue
 				}
 				if acc[stage] == nil {
-					acc[stage] = map[[2]symtab.Sym]bool{}
+					acc[stage] = map[uint64]struct{}{}
 				}
-				acc[stage][[2]symtab.Sym{a, b}] = true
+				acc[stage][symPair(a, b)] = struct{}{}
 			}
 			return acc
 		},
-		func(into, from map[string]map[[2]symtab.Sym]bool) map[string]map[[2]symtab.Sym]bool {
+		func(into, from map[string]map[uint64]struct{}) map[string]map[uint64]struct{} {
 			for stage, pairs := range from {
-				if into[stage] == nil {
-					into[stage] = pairs
-					continue
-				}
-				for pair := range pairs {
-					into[stage][pair] = true
-				}
+				into[stage] = mergeSet(into[stage], pairs)
 			}
 			return into
 		})

@@ -14,11 +14,12 @@ import (
 )
 
 // Path is the responsive hops of one traceroute, in TTL order, with the
-// vantage point recorded for entry analysis.
+// vantage point recorded for entry analysis. Addresses are the
+// Collection's AddrIDs; Collection.Addr resolves them.
 type Path struct {
-	Src  netip.Addr
-	Dst  netip.Addr
-	Hops []netip.Addr
+	Src  AddrID
+	Dst  AddrID
+	Hops []AddrID
 	// Gaps[i] is true when one or more unresponsive hops preceded
 	// Hops[i]; immediately adjacent hops (Gaps[i]==false) are the only
 	// ones the paper treats as links.

@@ -40,7 +40,7 @@ func BenchmarkParallelCampaign(b *testing.B) {
 				allocs += float64(m1.Mallocs - m0.Mallocs)
 				bytes += float64(m1.TotalAlloc - m0.TotalAlloc)
 				traces += res.Collection.TracesRun
-				if len(res.Collection.Paths) == 0 {
+				if res.Collection.NumPaths() == 0 {
 					b.Fatal("campaign collected no paths")
 				}
 			}
@@ -63,7 +63,7 @@ func BenchmarkCampaignCollect(b *testing.B) {
 				c := quickstartCampaign(workers)
 				b.StartTimer()
 				col := c.Run()
-				if len(col.Paths) == 0 {
+				if col.NumPaths() == 0 {
 					b.Fatal("campaign collected no paths")
 				}
 			}
@@ -112,7 +112,7 @@ func BenchmarkFaultedCampaign(b *testing.B) {
 				}
 				b.StartTimer()
 				res := comap.Run(c)
-				if len(res.Collection.Paths) == 0 {
+				if res.Collection.NumPaths() == 0 {
 					b.Fatal("faulted campaign collected no paths")
 				}
 			}

@@ -224,6 +224,88 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNextSymsMatchesNext holds the Hop-free symbol decode to the full
+// decode: on random multi-stage logs, every trace's endpoints and
+// responsive hops resolve through Addrs to exactly the addresses Next
+// yields, with a gap flag wherever unresponsive rows preceded a hop,
+// and the symbol table is the log's first-seen order of endpoints and
+// responsive hops.
+func TestNextSymsMatchesNext(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var store HopStore
+		stages := []string{"sweep", "direct", "mpls"}
+		perStage := make([][]TraceView, len(stages))
+		var want []string
+		var firstSeen []netip.Addr
+		seen := map[netip.Addr]bool{}
+		note := func(a netip.Addr) {
+			if !seen[a] {
+				seen[a] = true
+				firstSeen = append(firstSeen, a)
+			}
+		}
+		for i, stage := range stages {
+			perStage[i] = randomTraces(rng, &store, 1+rng.Intn(40))
+			for _, tv := range perStage[i] {
+				note(tv.Src)
+				note(tv.Dst)
+				line := fmt.Sprintf("%s %s>%s %v:", stage, tv.Src, tv.Dst, tv.Reached)
+				gap := false
+				for k := 0; k < tv.NumHops(); k++ {
+					if !tv.HopResponded(k) {
+						gap = true
+						continue
+					}
+					note(tv.Hop(k).Addr)
+					line += fmt.Sprintf(" %s/%v", tv.Hop(k).Addr, gap)
+					gap = false
+				}
+				want = append(want, line)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "traces.seg")
+		writeLog(t, path, stages, perStage)
+		r, err := OpenSegmentLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w SymWindow
+		var got []string
+		for {
+			ok, err := r.NextSyms(&w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			addrs := r.Addrs()
+			lo := int32(0)
+			for i := 0; i < w.Len(); i++ {
+				line := fmt.Sprintf("%s %s>%s %v:", w.Stage, addrs[w.Src[i]], addrs[w.Dst[i]], w.Reached[i])
+				for k := lo; k < w.Ends[i]; k++ {
+					line += fmt.Sprintf(" %s/%v", addrs[w.Hops[k]], w.Gaps[k])
+				}
+				lo = w.Ends[i]
+				got = append(got, line)
+			}
+		}
+		if fmt.Sprint(r.Addrs()) != fmt.Sprint(firstSeen) {
+			t.Errorf("seed %d: symbol table is not the first-seen order", seed)
+		}
+		r.Close()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: NextSyms yielded %d traces, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d trace %d:\n got %s\nwant %s", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestSegmentStageChangeSeals checks that Append auto-seals on a stage
 // boundary, producing one single-stage segment per stage.
 func TestSegmentStageChangeSeals(t *testing.T) {
@@ -285,6 +367,8 @@ func validLogBytes(t *testing.T) []byte {
 	return data
 }
 
+// decodeAll replays a log through both decoders (Next, then NextSyms
+// on a fresh reader) and returns the first error either reports.
 func decodeAll(path string) error {
 	r, err := OpenSegmentLog(path)
 	if err != nil {
@@ -298,7 +382,19 @@ func decodeAll(path string) error {
 			return err
 		}
 		if !ok {
-			return nil
+			break
+		}
+	}
+	rs, err := OpenSegmentLog(path)
+	if err != nil {
+		return err
+	}
+	defer rs.Close()
+	var w SymWindow
+	for {
+		ok, err := rs.NextSyms(&w)
+		if err != nil || !ok {
+			return err
 		}
 	}
 }
