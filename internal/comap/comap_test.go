@@ -302,7 +302,7 @@ func TestMPLSFalseEdgeRemoval(t *testing.T) {
 	if g == nil {
 		t.Fatal("maine missing")
 	}
-	if len(f.resH.Collection.FalsePairs) == 0 {
+	if len(f.resH.Collection.FalsePairs()) == 0 {
 		t.Fatal("no MPLS false pairs detected in charter")
 	}
 	if f.resH.Inference.Prune.MPLSCOAdjs == 0 {
