@@ -65,7 +65,7 @@ race-infer:
 # size, and after a durable kill-and-resume.
 equivalence:
 	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ ./internal/snapshot/ -count=1 \
-		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs|TestAddrIDsStableAcrossWorkersAndWindows|TestArchiveInternsFirstSeen'
+		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs|TestAddrIDsStableAcrossWorkersAndWindows|TestArchiveInternsFirstSeen|TestSegmentWriterMatchesInterningReference|TestCompileFlowIntoAllocatesNothing'
 
 # Graceful degradation: the faulted campaign must stay deterministic
 # across worker counts, account for every probe, and the chaos sweep's

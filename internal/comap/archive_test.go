@@ -29,7 +29,7 @@ func newTestCollection(paths ...addrPath) *Collection {
 		if gaps == nil {
 			gaps = make([]bool, len(p.Hops))
 		}
-		col.keep(p.Stage, p.Src, p.Dst, p.Reached, p.Hops, gaps)
+		col.keep(p.Stage, p.Src, p.Dst, p.Reached, p.Hops, gaps, nil)
 	}
 	return col
 }

@@ -349,12 +349,14 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 		}
 	}
 	// keepTrace projects a trace onto its responsive hops (with gap
-	// flags) in reused scratch and files it into the archive. Hop rows
-	// live in the chunk's (or the recovered segment's) columnar store,
-	// valid exactly for the fold call.
+	// flags) in reused scratch and files it into the archive, returning
+	// the trace's AddrIDs (see Collection.keep). Hop rows live in the
+	// chunk's (or the recovered segment's) columnar store, valid exactly
+	// for the fold call.
 	var hopBuf []netip.Addr
 	var gapBuf []bool
-	keepTrace := func(stage string, tv *traceroute.TraceView) {
+	var idBuf []AddrID
+	keepTrace := func(stage string, tv *traceroute.TraceView) (src, dst AddrID, hops []AddrID) {
 		hopBuf, gapBuf = hopBuf[:0], gapBuf[:0]
 		gap := false
 		for k := 0; k < tv.NumHops(); k++ {
@@ -366,7 +368,8 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			gapBuf = append(gapBuf, gap)
 			gap = false
 		}
-		col.keep(stage, tv.Src, tv.Dst, tv.Reached, hopBuf, gapBuf)
+		src, dst, idBuf = col.keep(stage, tv.Src, tv.Dst, tv.Reached, hopBuf, gapBuf, idBuf)
+		return src, dst, idBuf
 	}
 
 	// Durable campaigns track the flush schedule: flushOrdinal counts
@@ -484,9 +487,12 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 				col.EmptyTraces++
 				return
 			}
-			keepTrace(stage, &tv)
+			src, dst, hops := keepTrace(stage, &tv)
 			if writer != nil {
-				if err := writer.Append(stage, tv); err != nil {
+				// The log's symbols are the archive's AddrIDs (both are
+				// first-seen over the same kept traces), so the writer
+				// takes the IDs keep just assigned.
+				if err := writer.Append(stage, tv, src, dst, hops); err != nil {
 					panic(fmt.Errorf("comap: spilling trace: %w", err))
 				}
 				if writer.Count() >= c.TraceWindow {

@@ -23,10 +23,11 @@ import (
 //
 // IDs are assigned in first-seen order over each kept path's source,
 // destination and responsive hops, in fold order — exactly the order
-// in which the segment writer assigns its log-global symbols. A
-// replayed window's symbols are therefore AddrIDs as they stand; the
-// replay checks that the log's symbol table matches the Collection's
-// instead of translating hop by hop.
+// the segment log requires of its log-global symbols, so the fold
+// hands the writer the IDs it just assigned instead of having it
+// intern every hop again. A replayed window's symbols are therefore
+// AddrIDs as they stand; the replay checks that the log's symbol table
+// matches the Collection's instead of translating hop by hop.
 
 // AddrID is a dense per-Collection address identifier: the index of
 // the address in the Collection's first-seen table (see
@@ -82,36 +83,37 @@ func (c *Collection) idOf(a netip.Addr) (AddrID, bool) {
 // and responsive hops (in that order), sets their per-ID flags, and,
 // when the archive is resident, appends the path to the open window.
 // hops are the responsive hops in TTL order; gaps[k] reports that
-// unresponsive hops preceded hops[k]. Only the collection fold (and the
-// test constructor) calls keep, always on one goroutine.
-func (c *Collection) keep(stage string, src, dst netip.Addr, reached bool, hops []netip.Addr, gaps []bool) {
+// unresponsive hops preceded hops[k]. It returns the source and
+// destination IDs and the hops' IDs, written over ids' storage — what
+// the spill log's writer takes as the trace's symbols. Only the
+// collection fold (and the test constructor) calls keep, always on one
+// goroutine.
+func (c *Collection) keep(stage string, src, dst netip.Addr, reached bool, hops []netip.Addr, gaps []bool, ids []AddrID) (AddrID, AddrID, []AddrID) {
 	s, d := c.intern(src), c.intern(dst)
 	end := len(hops)
 	if reached {
 		end--
 	}
-	var w *traceroute.SymWindow
-	if c.spill == nil {
-		w = c.openWindow(stage)
-		w.Src = append(w.Src, s)
-		w.Dst = append(w.Dst, d)
-		w.Reached = append(w.Reached, reached)
-	}
+	ids = ids[:0]
 	for k, h := range hops {
 		id := c.intern(h)
 		c.flags[id] |= flagObserved
 		if k < end {
 			c.flags[id] |= flagInterior
 		}
-		if w != nil {
-			w.Hops = append(w.Hops, id)
-			w.Gaps = append(w.Gaps, gaps[k])
-		}
+		ids = append(ids, id)
 	}
-	if w != nil {
+	if c.spill == nil {
+		w := c.openWindow(stage)
+		w.Src = append(w.Src, s)
+		w.Dst = append(w.Dst, d)
+		w.Reached = append(w.Reached, reached)
+		w.Hops = append(w.Hops, ids...)
+		w.Gaps = append(w.Gaps, gaps...)
 		w.Ends = append(w.Ends, int32(len(w.Hops)))
 	}
 	c.nPaths++
+	return s, d, ids
 }
 
 // openWindow returns the resident window the next path of stage goes

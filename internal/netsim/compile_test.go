@@ -22,7 +22,7 @@ func TestFlowProbeAllocatesNothing(t *testing.T) {
 }
 
 // TestCompileFlowAllocs pins the cost of compiling a reachable flow once
-// its source's shortest-path tree is cached: the compiledPath and its
+// its source's shortest-path tree is cached: the path storage and its
 // visible-hop slice. The router walk lives in a stack buffer.
 func TestCompileFlowAllocs(t *testing.T) {
 	net, src, dst := randomNet(1234, 200)
@@ -34,6 +34,31 @@ func TestCompileFlowAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("CompileFlow allocates %v times per flow, want at most 2", allocs)
+	}
+}
+
+// TestCompileFlowIntoAllocatesNothing pins the traceroute worker's
+// compile: once a PathBuf has grown to the flow's path, compiling into
+// it again allocates nothing, and the result answers like a fresh
+// CompileFlow.
+func TestCompileFlowIntoAllocatesNothing(t *testing.T) {
+	net, src, dst := randomNet(1234, 200)
+	var buf PathBuf
+	if f := net.CompileFlowInto(&buf, src.Addr, dst.Addr, 7); f.HopsToDst() == 0 {
+		t.Fatal("test flow is unreachable")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		net.CompileFlowInto(&buf, src.Addr, dst.Addr, 7)
+	})
+	if allocs != 0 {
+		t.Errorf("CompileFlowInto allocates %v times per flow, want 0", allocs)
+	}
+	reused := net.CompileFlowInto(&buf, src.Addr, dst.Addr, 7)
+	fresh := net.CompileFlow(src.Addr, dst.Addr, 7)
+	for ttl := uint8(1); ttl <= 12; ttl++ {
+		if got, want := reused.Probe(pt0, ttl, ICMPEcho, uint32(ttl)), fresh.Probe(pt0, ttl, ICMPEcho, uint32(ttl)); !sameReply(got, want) {
+			t.Fatalf("ttl %d: reused-buffer flow %+v, fresh flow %+v", ttl, got, want)
+		}
 	}
 }
 

@@ -212,23 +212,18 @@ func (p *FaultPlan) active() bool {
 		p.VPChurnFrac > 0 || len(p.offlineSet) > 0)
 }
 
-// probeKey folds the probe identity into one hash input, so each
-// retransmission (distinct Seq) draws fresh loss trials while repeats
-// of the identical packet draw identically.
-func probeKey(s ProbeSpec) uint64 {
-	return mix(u64(s.Src), u64(s.Dst), uint64(s.TTL), uint64(s.Seq), uint64(s.FlowID), uint64(s.Proto))
-}
-
 // lossDrop draws one Bernoulli trial per link traversal of the probe's
-// round trip; any hit loses the packet (or its reply).
-func (p *FaultPlan) lossDrop(netSeed uint64, s ProbeSpec, links int) bool {
+// round trip; any hit loses the packet (or its reply). key is the
+// probe's identity (flowHash.probeKey); the (seeds, salt, key) prefix
+// of every trial's hash is folded once.
+func (p *FaultPlan) lossDrop(netSeed, key uint64, links int) bool {
 	th := thresh(p.LinkLoss)
 	if th == 0 {
 		return false
 	}
-	key := probeKey(s)
+	h := mix(netSeed, p.Seed, saltLoss, key)
 	for i := 0; i < links; i++ {
-		if mix(netSeed, p.Seed, saltLoss, key, uint64(i))%1_000_000 < th {
+		if mixStep(h, uint64(i))%1_000_000 < th {
 			return true
 		}
 	}
@@ -277,8 +272,8 @@ func (p *FaultPlan) rateLimited(netSeed uint64, id RouterID, at time.Time) bool 
 }
 
 // vpOffline reports whether the probing source host is offline at the
-// given instant.
-func (p *FaultPlan) vpOffline(netSeed uint64, src netip.Addr, at time.Time) bool {
+// given instant; srcKey is u64(src), which the flow computed once.
+func (p *FaultPlan) vpOffline(netSeed uint64, src netip.Addr, srcKey uint64, at time.Time) bool {
 	if p.offlineSet[src] {
 		return true
 	}
@@ -286,7 +281,7 @@ func (p *FaultPlan) vpOffline(netSeed uint64, src netip.Addr, at time.Time) bool
 	if th == 0 {
 		return false
 	}
-	h := u64(src)
+	h := srcKey
 	if mix(netSeed, p.Seed, saltChurnSel, h)%1_000_000 >= th {
 		return false
 	}

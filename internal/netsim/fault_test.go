@@ -255,6 +255,19 @@ func TestFlowProbeMatchesNetworkProbeUnderFaults(t *testing.T) {
 			}
 		}
 	}
+
+	// An offline VP sends nothing, so both entry points report it as
+	// down even toward a destination the network cannot resolve.
+	c.net.SetFaultPlan(FaultPlan{OfflineVPs: []netip.Addr{c.vp.Addr}})
+	nowhere := addr("203.0.113.9")
+	flow = c.net.CompileFlow(c.vp.Addr, nowhere, 7)
+	for ttl := uint8(1); ttl <= 3; ttl++ {
+		want := c.net.Probe(t0, ProbeSpec{Src: c.vp.Addr, Dst: nowhere, TTL: ttl, Proto: ICMPEcho, FlowID: 7, Seq: uint32(ttl)})
+		got := flow.Probe(t0, ttl, ICMPEcho, uint32(ttl))
+		if got != want || want.Type != Timeout || want.Drop != DropVPDown {
+			t.Fatalf("TTL %d to an unresolvable destination from an offline VP: Flow.Probe %+v, Network.Probe %+v, want both vp-down", ttl, got, want)
+		}
+	}
 }
 
 func TestOutcomeClassification(t *testing.T) {

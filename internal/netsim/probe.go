@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"time"
 )
@@ -120,8 +121,9 @@ type visibleHop struct {
 // to an interface of the egress or of an interior router (Direct Path
 // Revelation, per Vanaubel et al.). Probes toward hosts or bare prefixes
 // beyond the egress ride the LSP and never see the interior. The source
-// router itself is not included in the result.
-func (n *Network) visiblePath(path []pathHop, dstRouter *Router, dstIsRouterAddr bool) []visibleHop {
+// router itself is not included in the result, which is written over
+// out's storage (grown only when it is too small).
+func (n *Network) visiblePath(out []visibleHop, path []pathHop, dstRouter *Router, dstIsRouterAddr bool) []visibleHop {
 	// Router paths are a handful of hops, so position lookups scan the
 	// path directly and the hidden mask lives on the stack — a map and a
 	// heap slice per compiled flow otherwise.
@@ -162,7 +164,11 @@ func (n *Network) visiblePath(path []pathHop, dstRouter *Router, dstIsRouterAddr
 			}
 		}
 	}
-	out := make([]visibleHop, 0, len(path)-1)
+	if need := len(path) - 1; cap(out) < need {
+		out = make([]visibleHop, 0, need)
+	} else {
+		out = out[:0]
+	}
 	for i := 1; i < len(path); i++ {
 		if hidden[i] {
 			continue
@@ -179,9 +185,9 @@ func (n *Network) visiblePath(path []pathHop, dstRouter *Router, dstIsRouterAddr
 
 // compiledPath is the replayable result of routerPath + visiblePath for
 // one (src router, dst router, flow ID, dst-is-router-address) tuple:
-// everything the visible hop sequence depends on. It is immutable once
-// built: probes index into vis but never write it, so one copy serves
-// any number of goroutines.
+// everything the visible hop sequence depends on. Probes index into vis
+// but never write it, so one compiled path serves any number of
+// goroutines until it is compiled over (see PathBuf).
 type compiledPath struct {
 	reachable bool
 	// vis is the TTL-consuming hop sequence with MPLS-hidden hops
@@ -190,103 +196,98 @@ type compiledPath struct {
 }
 
 // compilePath walks the flow's router path and applies MPLS visibility
-// to it. Nothing is cached: the caller owns the result (a Flow keeps it
-// for replay, Probe drops it after one answer).
-func (n *Network) compilePath(src, dst RouterID, flowID uint16, toRouterAddr bool) *compiledPath {
-	cp := &compiledPath{}
+// to it, writing the result over cp (its hop slice is reused). Nothing
+// is cached: the caller owns cp.
+func (n *Network) compilePath(cp *compiledPath, src, dst RouterID, flowID uint16, toRouterAddr bool) {
 	var buf [64]pathHop
-	if path := n.routerPath(buf[:], src, dst, flowID); path != nil {
-		cp.reachable = true
-		cp.vis = n.visiblePath(path, n.routers[dst], toRouterAddr)
+	path := n.routerPath(buf[:], src, dst, flowID)
+	cp.reachable = path != nil
+	if path == nil {
+		cp.vis = cp.vis[:0]
+		return
 	}
-	return cp
+	cp.vis = n.visiblePath(cp.vis, path, n.routers[dst], toRouterAddr)
 }
 
 // Probe injects one probe at virtual time `at` and returns the response.
 //
-// This is the convenience entry point: it resolves the destination
-// through the compiled FIB and compiles the flow's visible path on
-// every call. Callers that send many probes along one flow, such as a
-// traceroute walking TTLs, should compile the flow once with
-// CompileFlow and replay it.
+// This is the convenience entry point: it compiles a one-shot flow for
+// the probe (destination resolution through the compiled FIB, the
+// visible path, the flow's hash prefixes) and replays it, so it answers
+// exactly as Flow.Probe does. Callers that send many probes along one
+// flow, such as a traceroute walking TTLs, should compile the flow once
+// with CompileFlow and replay it.
 func (n *Network) Probe(at time.Time, s ProbeSpec) Reply {
-	srcHost, ok := n.hosts[s.Src]
-	if !ok {
-		return Reply{Type: Timeout}
-	}
-	kind, dstRouter, dHost, dIface := n.resolveDst(s.Dst)
-	if kind == dstNone || dstRouter == nil {
-		return Reply{Type: Timeout}
-	}
-	cp := n.compilePath(srcHost.Router.ID, dstRouter.ID, s.FlowID, kind == dstIface)
-	return n.replay(at, s, srcHost, kind, dstRouter, dHost, dIface, cp)
+	f := n.CompileFlow(s.Src, s.Dst, s.FlowID)
+	return f.Probe(at, s.TTL, s.Proto, s.Seq)
 }
 
-// replay answers one probe from a compiled path. It allocates nothing:
-// every hop decision indexes into the immutable compiled hop sequence.
-func (n *Network) replay(at time.Time, s ProbeSpec, srcHost *Host, kind dstKind, dstRouter *Router, dHost *Host, dIface *Iface, cp *compiledPath) Reply {
-	plan := n.faults.Load()
-	if !plan.active() {
-		plan = nil
-	}
-	if plan != nil && plan.vpOffline(n.seed, s.Src, at) {
-		return Reply{Type: Timeout, Drop: DropVPDown}
-	}
-	if s.TTL == 0 || !cp.reachable {
-		return Reply{Type: Timeout}
-	}
-	vis := cp.vis
+// Hash salts of the per-probe draws keyed by the flow's addresses.
+const (
+	saltResponse = 0xA11CE // the router's ResponseProb draw
+	saltJitter   = 0x717   // RTT jitter
+	saltHostIPID = 0x1D    // a host's hashed IP-ID
+)
 
-	// Number of TTL-consuming hops to reach the destination endpoint:
-	// each visible router is one, plus one more when the destination is
-	// a host behind the final router.
-	hopsToDst := len(vis)
-	if kind == dstHost {
-		hopsToDst++
-	}
+// flowHash holds a flow's fixed hash prefixes. Every per-probe draw
+// keyed by the flow's addresses hashes (seed, salt, u64(src), u64(dst))
+// before the probe's own TTL and sequence number; mix is a sequential
+// fold, so the prefix state is computed once at compile time and each
+// probe finishes it with its own fields (see mixStep).
+type flowHash struct {
+	src    uint64 // u64(src): the fault plan's VP-churn key
+	resp   uint64 // mix state after (seed, saltResponse, u64(src), u64(dst))
+	jitter uint64 // mix state after (seed, saltJitter, u64(src), u64(dst))
+	host   uint64 // mix state after (seed, saltHostIPID, u64(dst))
+	probe  uint64 // mix state after (u64(src), u64(dst)): the loss key's prefix
+}
 
-	if int(s.TTL) <= len(vis) && int(s.TTL) < hopsToDst {
-		// Expires at an intermediate router.
-		h := vis[s.TTL-1]
-		return n.routerReply(at, s, srcHost, h, TTLExceeded, plan)
+func newFlowHash(seed uint64, src, dst netip.Addr) flowHash {
+	s, d := u64(src), u64(dst)
+	return flowHash{
+		src:    s,
+		resp:   mix(seed, saltResponse, s, d),
+		jitter: mix(seed, saltJitter, s, d),
+		host:   mix(seed, saltHostIPID, d),
+		probe:  mix(s, d),
 	}
-	if int(s.TTL) < hopsToDst {
-		return Reply{Type: Timeout}
-	}
+}
 
-	// Probe reaches the destination.
-	switch kind {
-	case dstHost:
-		return n.hostReply(at, s, srcHost, dHost, vis, plan)
-	case dstIface:
-		var h visibleHop
-		if len(vis) == 0 {
-			// Destination router is the VP's own gateway.
-			h = visibleHop{router: dstRouter, in: dIface, delay: 0, hops: 0}
-		} else {
-			h = vis[len(vis)-1]
-			h.in = dIface // echo/udp responses come from the probed address
-		}
-		kindReply := EchoReply
-		if s.Proto == UDP {
-			kindReply = PortUnreachable
-		}
-		return n.routerReply(at, s, srcHost, h, kindReply, plan)
-	default: // dstPrefixOnly: address not live; the packet dies silently.
-		return Reply{Type: Timeout}
-	}
+// responseDraw is the ResponseProb draw of one probe.
+func (h *flowHash) responseDraw(ttl uint8, seq uint32) uint64 {
+	return mixStep(mixStep(h.resp, uint64(ttl)), uint64(seq))
+}
+
+// jitterDraw is the RTT jitter draw of one probe.
+func (h *flowHash) jitterDraw(ttl uint8, seq uint32) uint64 {
+	return mixStep(mixStep(h.jitter, uint64(ttl)), uint64(seq))
+}
+
+// hostIPID is the destination host's IP-ID for the probe's reply.
+func (h *flowHash) hostIPID(seq uint32) uint16 {
+	return uint16(mixStep(h.host, uint64(seq)))
+}
+
+// probeKey folds the probe identity into one hash input for the fault
+// plan's loss trials, so each retransmission (distinct seq) draws fresh
+// trials while repeats of the identical packet draw identically.
+func (h *flowHash) probeKey(ttl uint8, proto Proto, seq uint32, flowID uint16) uint64 {
+	k := mixStep(mixStep(h.probe, uint64(ttl)), uint64(seq))
+	return mixStep(mixStep(k, uint64(flowID)), uint64(proto))
 }
 
 // Flow is a compiled probe flow: the source host, the resolved
-// destination, and the visible hop sequence for one (src, dst, flowID)
-// triple, with MPLS tunnel spans already applied. Compiling once and
-// replaying answers each TTL with pure indexing — no map lookups, path
-// walks, or allocations per probe — which is what makes TTL sweeps
-// (traceroute) cheap.
+// destination, the visible hop sequence for one (src, dst, flowID)
+// triple with MPLS tunnel spans already applied, and the hash prefixes
+// of the flow's per-probe draws. Compiling once and replaying answers
+// each TTL with pure indexing and a few hash steps — no map lookups,
+// path walks, address hashing or allocations per probe — which is what
+// makes TTL sweeps (traceroute) and MIDAR's repeated probes cheap.
 //
 // A Flow is immutable and safe for concurrent use, but it snapshots the
 // topology: like an in-flight probe, it must not outlive a topology
-// mutation (Connect, AddTunnel, InvalidateRoutes).
+// mutation (Connect, AddTunnel, InvalidateRoutes). A Flow compiled into
+// a PathBuf is valid only until the next compile into that buffer.
 type Flow struct {
 	net       *Network
 	src, dst  netip.Addr
@@ -297,22 +298,41 @@ type Flow struct {
 	dstHost   *Host
 	dstIface  *Iface
 	cp        *compiledPath
+	hash      flowHash
 }
 
 // unreachableFlow answers every probe with a timeout.
 var unreachableFlow = &compiledPath{}
 
+// PathBuf is reusable storage for a compiled flow's path. A caller that
+// compiles one flow after another on one goroutine — a traceroute
+// worker — compiles each into the same PathBuf with CompileFlowInto,
+// so after the buffer has grown to the longest path seen a compile
+// allocates nothing. The zero PathBuf is ready to use.
+type PathBuf struct {
+	cp compiledPath
+}
+
 // CompileFlow resolves src, dst, and the flow's forwarding path once.
 // The returned Flow answers probes for any TTL, protocol, and sequence
 // number of that flow; an unresolvable source or destination yields a
-// Flow whose probes all time out, exactly as Probe would.
+// Flow whose probes all time out, exactly as Probe would. The Flow owns
+// its path, so it may be kept and shared (MIDAR keeps one per target).
 func (n *Network) CompileFlow(src, dst netip.Addr, flowID uint16) Flow {
+	return n.CompileFlowInto(nil, src, dst, flowID)
+}
+
+// CompileFlowInto is CompileFlow writing the flow's path into buf
+// instead of fresh storage; a nil buf allocates one. The Flow reads buf
+// on every probe, so it is valid until buf is compiled into again.
+func (n *Network) CompileFlowInto(buf *PathBuf, src, dst netip.Addr, flowID uint16) Flow {
 	f := Flow{net: n, src: src, dst: dst, flowID: flowID, cp: unreachableFlow}
 	srcHost, ok := n.hosts[src]
 	if !ok {
 		return f
 	}
 	f.srcHost = srcHost
+	f.hash = newFlowHash(n.seed, src, dst)
 	kind, dstRouter, dHost, dIface := n.resolveDst(dst)
 	if kind == dstNone || dstRouter == nil {
 		return f
@@ -321,7 +341,11 @@ func (n *Network) CompileFlow(src, dst netip.Addr, flowID uint16) Flow {
 	f.dstRouter = dstRouter
 	f.dstHost = dHost
 	f.dstIface = dIface
-	f.cp = n.compilePath(srcHost.Router.ID, dstRouter.ID, flowID, kind == dstIface)
+	if buf == nil {
+		buf = new(PathBuf)
+	}
+	n.compilePath(&buf.cp, srcHost.Router.ID, dstRouter.ID, flowID, kind == dstIface)
+	f.cp = &buf.cp
 	return f
 }
 
@@ -341,14 +365,75 @@ func (f *Flow) HopsToDst() int {
 	return h
 }
 
-// Probe replays the compiled flow for one TTL. It is equivalent to —
-// and bit-identical with — Network.Probe with the same parameters.
+// probe is one probe's own fields; the flow supplies the rest.
+type probe struct {
+	ttl   uint8
+	proto Proto
+	seq   uint32
+}
+
+// Probe answers one probe of the compiled flow for the given TTL. It
+// allocates nothing: every hop decision indexes into the compiled hop
+// sequence, and every draw finishes one of the flow's hash prefixes.
+// Network.Probe is this method on a one-shot flow, so the two are
+// bit-identical. A probe from an unregistered source times out with no
+// drop cause; a probe from an offline vantage point reports DropVPDown
+// whatever its destination, since an offline VP sends nothing.
 func (f *Flow) Probe(at time.Time, ttl uint8, proto Proto, seq uint32) Reply {
 	if f.srcHost == nil {
 		return Reply{Type: Timeout}
 	}
-	s := ProbeSpec{Src: f.src, Dst: f.dst, TTL: ttl, Proto: proto, FlowID: f.flowID, Seq: seq}
-	return f.net.replay(at, s, f.srcHost, f.kind, f.dstRouter, f.dstHost, f.dstIface, f.cp)
+	n := f.net
+	plan := n.faults.Load()
+	if !plan.active() {
+		plan = nil
+	}
+	if plan != nil && plan.vpOffline(n.seed, f.src, f.hash.src, at) {
+		return Reply{Type: Timeout, Drop: DropVPDown}
+	}
+	if ttl == 0 || !f.cp.reachable {
+		return Reply{Type: Timeout}
+	}
+	vis := f.cp.vis
+	p := probe{ttl: ttl, proto: proto, seq: seq}
+
+	// Number of TTL-consuming hops to reach the destination endpoint:
+	// each visible router is one, plus one more when the destination is
+	// a host behind the final router.
+	hopsToDst := len(vis)
+	if f.kind == dstHost {
+		hopsToDst++
+	}
+
+	if int(ttl) <= len(vis) && int(ttl) < hopsToDst {
+		// Expires at an intermediate router.
+		return f.routerReply(at, p, vis[ttl-1], TTLExceeded, plan)
+	}
+	if int(ttl) < hopsToDst {
+		return Reply{Type: Timeout}
+	}
+
+	// Probe reaches the destination.
+	switch f.kind {
+	case dstHost:
+		return f.hostReply(p, vis, plan)
+	case dstIface:
+		var h visibleHop
+		if len(vis) == 0 {
+			// Destination router is the VP's own gateway.
+			h = visibleHop{router: f.dstRouter, in: f.dstIface, delay: 0, hops: 0}
+		} else {
+			h = vis[len(vis)-1]
+			h.in = f.dstIface // echo/udp responses come from the probed address
+		}
+		kindReply := EchoReply
+		if proto == UDP {
+			kindReply = PortUnreachable
+		}
+		return f.routerReply(at, p, h, kindReply, plan)
+	default: // dstPrefixOnly: address not live; the packet dies silently.
+		return Reply{Type: Timeout}
+	}
 }
 
 // routerReply builds a response originated by a router, applying the
@@ -362,14 +447,15 @@ func (f *Flow) Probe(at time.Time, ttl uint8, proto Proto, seq uint32) Reply {
 // blackout, rate limit), then the router's own ResponseProb draw. Each
 // check is a pure hash, so the ordering only decides which DropCause a
 // multiply-doomed probe reports.
-func (n *Network) routerReply(at time.Time, s ProbeSpec, src *Host, h visibleHop, typ ReplyType, plan *FaultPlan) Reply {
+func (f *Flow) routerReply(at time.Time, p probe, h visibleHop, typ ReplyType, plan *FaultPlan) Reply {
+	n := f.net
 	r := h.router
 	if typ != TTLExceeded {
 		switch r.DstPolicy {
 		case DstClosed:
 			return Reply{Type: Timeout}
 		case DstInternalOnly:
-			if src.ISP != r.ISP {
+			if f.srcHost.ISP != r.ISP {
 				return Reply{Type: Timeout}
 			}
 		}
@@ -377,7 +463,7 @@ func (n *Network) routerReply(at time.Time, s ProbeSpec, src *Host, h visibleHop
 	if plan != nil {
 		// Round trip traverses each of the h.hops+1 links (access link
 		// included) in both directions.
-		if plan.lossDrop(n.seed, s, 2*(h.hops+1)) {
+		if plan.lossDrop(n.seed, f.hash.probeKey(p.ttl, p.proto, p.seq, f.flowID), 2*(h.hops+1)) {
 			return Reply{Type: Timeout, Drop: DropLoss}
 		}
 		if plan.routerSilent(n.seed, r.ID) {
@@ -391,7 +477,7 @@ func (n *Network) routerReply(at time.Time, s ProbeSpec, src *Host, h visibleHop
 		}
 	}
 	if r.ResponseProb < 1 {
-		draw := float64(mix(n.seed, 0xA11CE, u64(s.Src), u64(s.Dst), uint64(s.TTL), uint64(s.Seq))%1_000_000) / 1_000_000
+		draw := float64(f.hash.responseDraw(p.ttl, p.seq)%1_000_000) / 1_000_000
 		if draw >= r.ResponseProb {
 			// ResponseProb has always modelled ICMP rate limiting
 			// (see Router docs), so classify its silence accordingly.
@@ -404,17 +490,17 @@ func (n *Network) routerReply(at time.Time, s ProbeSpec, src *Host, h visibleHop
 		from = h.in.Addr
 		replyIface = h.in
 	}
-	rtt := n.rtt(s, src, h.delay, h.hops, 0)
 	return Reply{
 		Type:     typ,
 		From:     from,
-		RTT:      rtt,
+		RTT:      f.rtt(p, h.delay, h.hops, 0),
 		ReplyTTL: replyTTL(255, h.hops),
 		IPID:     r.nextIPID(at, replyIface),
 	}
 }
 
-func (n *Network) hostReply(at time.Time, s ProbeSpec, src, dst *Host, vis []visibleHop, plan *FaultPlan) Reply {
+func (f *Flow) hostReply(p probe, vis []visibleHop, plan *FaultPlan) Reply {
+	dst := f.dstHost
 	if !dst.RespondsToPing {
 		return Reply{Type: Timeout}
 	}
@@ -427,31 +513,30 @@ func (n *Network) hostReply(at time.Time, s ProbeSpec, src, dst *Host, vis []vis
 	}
 	// Round trip crosses hops+2 links (transit plus both access links)
 	// in each direction.
-	if plan != nil && plan.lossDrop(n.seed, s, 2*(hops+2)) {
+	if plan != nil && plan.lossDrop(f.net.seed, f.hash.probeKey(p.ttl, p.proto, p.seq, f.flowID), 2*(hops+2)) {
 		return Reply{Type: Timeout, Drop: DropLoss}
 	}
 	typ := EchoReply
-	if s.Proto == UDP {
+	if p.proto == UDP {
 		typ = PortUnreachable
 	}
-	rtt := n.rtt(s, src, pathDelay, hops, dst.AccessDelay)
 	return Reply{
 		Type:     typ,
 		From:     dst.Addr,
-		RTT:      rtt,
+		RTT:      f.rtt(p, pathDelay, hops, dst.AccessDelay),
 		ReplyTTL: replyTTL(64, hops+1),
-		IPID:     uint16(mix(n.seed, 0x1D, u64(dst.Addr), uint64(s.Seq))),
+		IPID:     f.hash.hostIPID(p.seq),
 	}
 }
 
 // rtt assembles a round-trip time: symmetric propagation, per-router
 // processing both ways, both access links, and bounded per-probe jitter.
-func (n *Network) rtt(s ProbeSpec, src *Host, oneWay time.Duration, hops int, dstAccess time.Duration) time.Duration {
-	rtt := 2*oneWay + 2*src.AccessDelay + 2*dstAccess
+func (f *Flow) rtt(p probe, oneWay time.Duration, hops int, dstAccess time.Duration) time.Duration {
+	n := f.net
+	rtt := 2*oneWay + 2*f.srcHost.AccessDelay + 2*dstAccess
 	rtt += time.Duration(2*hops) * n.ProcessingDelay
 	if n.JitterMax > 0 {
-		j := time.Duration(mix(n.seed, 0x717, u64(s.Src), u64(s.Dst), uint64(s.TTL), uint64(s.Seq)) % uint64(n.JitterMax))
-		rtt += j
+		rtt += time.Duration(f.hash.jitterDraw(p.ttl, p.seq) % uint64(n.JitterMax))
 	}
 	return rtt
 }
@@ -464,18 +549,12 @@ func replyTTL(initial int, hopsBack int) uint8 {
 	return uint8(v)
 }
 
-// u64 folds an address into a hash input.
+// u64 folds an address into a hash input: the fold of its two
+// big-endian 64-bit halves.
 func u64(a netip.Addr) uint64 {
 	b := a.As16()
-	var h uint64
-	for i := 0; i < 16; i += 8 {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w = w<<8 | uint64(b[i+j])
-		}
-		h = mix(h, w)
-	}
-	return h
+	h := mix(0, binary.BigEndian.Uint64(b[:8]))
+	return mix(h, binary.BigEndian.Uint64(b[8:]))
 }
 
 // nextIPID advances and returns the router's IP-ID for a reply sent at

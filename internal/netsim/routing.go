@@ -205,12 +205,14 @@ func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []
 		return nil
 	}
 	// Walk predecessors from dst back to src; the picks are pure
-	// functions of (seed, flowID, router).
+	// functions of (seed, flowID, router), and the (seed, flowID)
+	// prefix of that hash is folded once per walk.
+	fh := mix(n.seed, uint64(flowID))
 	rev := buf[:0]
 	cur := int32(dst)
 	for cur != int32(src) {
 		preds := spt.preds[cur]
-		pick := preds[int(mix(n.seed, uint64(flowID), uint64(cur))%uint64(len(preds)))]
+		pick := preds[int(mixStep(fh, uint64(cur))%uint64(len(preds)))]
 		rev = append(rev, pathHop{router: n.routers[cur], in: pick.iface})
 		cur = pick.from
 	}
@@ -232,16 +234,28 @@ func (n *Network) Reachable(src, dst *Router) bool {
 	return n.shortestPaths(src.ID).dist[dst.idx] != unreachable
 }
 
+// mixSeed is the fold's initial state.
+const mixSeed = 0x9e3779b97f4a7c15
+
+// mixStep folds one value into a running hash state. The fold is
+// sequential, so a caller whose leading inputs are fixed (a flow's
+// seed and addresses) computes that prefix once and finishes it per
+// probe: mix(a, b, c) == mixStep(mixStep(mixStep(mixSeed, a), b), c).
+func mixStep(h, v uint64) uint64 {
+	h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
 // mix is a splitmix64-style hash combiner used everywhere the simulator
 // needs deterministic pseudo-randomness keyed by probe parameters.
 func mix(vs ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
+	h := uint64(mixSeed)
 	for _, v := range vs {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
+		h = mixStep(h, v)
 	}
 	return h
 }

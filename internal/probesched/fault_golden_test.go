@@ -83,10 +83,19 @@ func TestZeroFaultPlanMatchesGoldenDigest(t *testing.T) {
 	runtime.GOMAXPROCS(prev)
 }
 
+// The faulted campaign's digests, pinned so that a change to the
+// fault-path hashing (loss keys, rate-limit windows, VP churn) fails
+// the grid below even when every worker count drifts the same way.
+const (
+	goldenFaultedCampaignDigest = "b95d0f0cc04abf9e81ce47fe3a759f8ef95ed51b74df38fb29054bef6b525768"
+	goldenFaultedAliasDigest    = "d965a2533827dfd1c5f6f573fe8915cc871d037358ae13b9ce91be2c2f37b8c8"
+	goldenFaultedGraphDigest    = "4108ba0a08f32c54e9263570725ced80462d492e651091a153a06ac5046cab18"
+)
+
 // TestFaultedCampaignDeterministicAcrossWorkers is the acceptance grid:
 // with 10% link loss plus windowed ICMP rate limiting and a retrying,
 // breaker-guarded campaign, the whole run must complete, account for
-// every probe, and produce byte-identical digests at workers {1,4,8}.
+// every probe, and produce the pinned digests at workers {1,4,8}.
 func TestFaultedCampaignDeterministicAcrossWorkers(t *testing.T) {
 	plan := netsim.FaultPlan{
 		Seed:       7,
@@ -120,6 +129,19 @@ func TestFaultedCampaignDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if len(res.Inference.Regions) == 0 {
 			t.Fatalf("workers=%d: faulted campaign inferred no regions", workers)
+		}
+		for _, d := range []struct {
+			name string
+			got  [32]byte
+			want string
+		}{
+			{"campaign", campaign, goldenFaultedCampaignDigest},
+			{"alias", alias, goldenFaultedAliasDigest},
+			{"graph", graph, goldenFaultedGraphDigest},
+		} {
+			if got := hex.EncodeToString(d.got[:]); got != d.want {
+				t.Errorf("workers=%d: faulted %s digest %s differs from golden %s", workers, d.name, got, d.want)
+			}
 		}
 		cur := run{campaign, alias, graph, stats}
 		if i == 0 {

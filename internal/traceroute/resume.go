@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"repro/internal/segfault"
-	"repro/internal/symtab"
 )
 
 // Resume reports what OpenDurableSegmentLog recovered.
@@ -159,12 +158,11 @@ func OpenDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*Segment
 		kept, nCheck-1, tail, dropped)
 
 	// Make disk agree with the pruned manifest before handing out the
-	// writer: truncate the tail, republish the manifest, rebuild the
-	// writer's global symbol table by replaying the kept prefix.
+	// writer: truncate the tail, republish the manifest, and count the
+	// log-global symbols of the kept prefix by replaying it.
 	if err := fsys.Truncate(path, cut); err != nil {
 		return nil, nil, err
 	}
-	global := symtab.New(0)
 	r2 := &SegmentReader{data: data[:cut], off: 8, unmap: func() error { return nil }}
 	for {
 		ok, err := r2.Next(&seg)
@@ -175,15 +173,6 @@ func OpenDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*Segment
 			break
 		}
 	}
-	for _, a := range r2.addrs {
-		if a.Is4() {
-			k := a.As4()
-			global.InternBytes(k[:])
-		} else {
-			k := a.As16()
-			global.InternBytes(k[:])
-		}
-	}
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, nil, err
@@ -191,8 +180,7 @@ func OpenDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*Segment
 	w := &SegmentWriter{
 		f:        f,
 		bw:       bufio.NewWriterSize(f, 1<<16),
-		global:   global,
-		local:    symtab.New(0),
+		nGlobal:  len(r2.addrs),
 		fsys:     fsys,
 		logPath:  path,
 		manifest: m,

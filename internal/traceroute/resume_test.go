@@ -14,13 +14,14 @@ import (
 )
 
 // durableWindows appends windows [from, to) to w, sealing and
-// checkpointing after each. Windows overlap in the shared view slice so
-// a resumed writer must re-intern addresses the recovered prefix
-// already interned — a wrong symbol-table rebuild corrupts the replay.
-func durableWindows(w *SegmentWriter, views []TraceView, from, to int) error {
+// checkpointing after each, with symbols from syms. Windows overlap in
+// the shared view slice so a resumed writer sees addresses the
+// recovered prefix already holds — a wrong symbol count after recovery
+// corrupts the replay or fails Append.
+func durableWindows(w *SegmentWriter, syms *logSyms, views []TraceView, from, to int) error {
 	for i := from; i < to; i++ {
 		for _, tv := range views[i*3 : i*3+6] {
-			if err := w.Append("sweep", tv); err != nil {
+			if err := syms.append(w, "sweep", tv); err != nil {
 				return err
 			}
 		}
@@ -52,7 +53,7 @@ func writeReferenceLog(t *testing.T, views []TraceView) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := durableWindows(w, views, 0, resumeTestWindows); err != nil {
+	if err := durableWindows(w, &logSyms{}, views, 0, resumeTestWindows); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.MarkComplete(resumeTestWindows, json.RawMessage(`{"done":true}`)); err != nil {
@@ -100,7 +101,7 @@ func TestDurableKillAndResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("create: %v", err)
 			}
-			err = durableWindows(w, views, 0, resumeTestWindows)
+			err = durableWindows(w, &logSyms{}, views, 0, resumeTestWindows)
 			if !errors.Is(err, segfault.ErrCrash) {
 				t.Fatalf("campaign survived the fault plan: %v", err)
 			}
@@ -129,7 +130,7 @@ func TestDurableKillAndResume(t *testing.T) {
 				}
 				from = tc.wantWin
 			}
-			if err := durableWindows(w2, views, from, resumeTestWindows); err != nil {
+			if err := durableWindows(w2, logSymsOf(t, path), views, from, resumeTestWindows); err != nil {
 				t.Fatalf("resume append: %v", err)
 			}
 			if err := w2.MarkComplete(resumeTestWindows, json.RawMessage(`{"done":true}`)); err != nil {
@@ -168,7 +169,7 @@ func TestDurableResumeRejectsForeignFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := durableWindows(w, views, 0, 2); err != nil {
+	if err := durableWindows(w, &logSyms{}, views, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -195,7 +196,7 @@ func TestDurableResumeRejectsGarbageManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := durableWindows(w, views, 0, 2); err != nil {
+	if err := durableWindows(w, &logSyms{}, views, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -228,7 +229,7 @@ func TestRecoveryClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nWin = 3
-	if err := durableWindows(w, views, 0, nWin); err != nil {
+	if err := durableWindows(w, &logSyms{}, views, 0, nWin); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

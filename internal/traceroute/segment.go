@@ -73,16 +73,26 @@ var (
 // (the hop rows live in chunk scratch and are gone after the fold call,
 // so nothing is deferred); Seal frames and flushes the accumulated
 // window. The writer is single-goroutine, like the fold that feeds it.
+//
+// The writer does not intern addresses itself: the caller passes each
+// trace's log-global symbols (see Append), which a campaign has
+// already assigned in its own first-seen address table. The writer
+// only renumbers them densely per segment.
 type SegmentWriter struct {
 	f  segfault.File
 	bw *bufio.Writer
 
-	// global interns packed address bytes across the whole log; local
-	// re-interns the current segment's addresses densely so hop varints
-	// stay small, and Seal merges local into global to produce the
-	// frame's remap (symtab.Merge — the shard-table discipline).
-	global *symtab.Table
-	local  *symtab.Table
+	// nGlobal counts the log-global symbols sealed so far. The open
+	// segment numbers the global symbols it uses densely, in first-use
+	// order, so hop varints stay small: localOf[g] is global symbol g's
+	// local symbol plus one (0 = unused in this segment), locals[l] is
+	// local symbol l's global symbol (the frame's remap), and fresh
+	// holds the addresses of the symbols new to the log, in symbol
+	// order.
+	nGlobal int
+	localOf []uint32
+	locals  []symtab.Sym
+	fresh   []netip.Addr
 
 	stage string
 	count int
@@ -108,10 +118,8 @@ func CreateSegmentLog(path string) (*SegmentWriter, error) {
 		return nil, err
 	}
 	w := &SegmentWriter{
-		f:      f,
-		bw:     bufio.NewWriterSize(f, 1<<16),
-		global: symtab.New(0),
-		local:  symtab.New(0),
+		f:  f,
+		bw: bufio.NewWriterSize(f, 1<<16),
 	}
 	var hdr [8]byte
 	copy(hdr[:4], segMagic)
@@ -137,8 +145,6 @@ func CreateDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*Segme
 	w := &SegmentWriter{
 		f:       f,
 		bw:      bufio.NewWriterSize(f, 1<<16),
-		global:  symtab.New(0),
-		local:   symtab.New(0),
 		fsys:    fsys,
 		logPath: path,
 		off:     8,
@@ -243,28 +249,42 @@ func (w *SegmentWriter) MarkComplete(paths int, state json.RawMessage) error {
 // Count reports the traces appended to the open (unsealed) segment.
 func (w *SegmentWriter) Count() int { return w.count }
 
-// appendAddr encodes an address as local-symbol-plus-one (0 encodes the
-// invalid address, i.e. an unresponsive hop).
-func (w *SegmentWriter) appendAddr(dst []byte, a netip.Addr) []byte {
-	if !a.IsValid() {
-		return append(dst, 0)
+// appendSym encodes global symbol g, the symbol of address a, as its
+// local symbol plus one, numbering it on first use in the segment.
+func (w *SegmentWriter) appendSym(dst []byte, g uint32, a netip.Addr) ([]byte, error) {
+	for int(g) >= len(w.localOf) {
+		w.localOf = append(w.localOf, 0)
 	}
-	var s symtab.Sym
-	if a.Is4() {
-		k := a.As4()
-		s = w.local.InternBytes(k[:])
-	} else {
-		k := a.As16()
-		s = w.local.InternBytes(k[:])
+	l := w.localOf[g]
+	if l == 0 {
+		if int(g) >= w.nGlobal {
+			// New to the log: symbols arrive in first-seen order, so
+			// this must be the next one.
+			if next := w.nGlobal + len(w.fresh); int(g) != next {
+				return nil, fmt.Errorf("traceroute: address %s has symbol %d, next new log symbol is %d", a, g, next)
+			}
+			w.fresh = append(w.fresh, a)
+		}
+		w.locals = append(w.locals, symtab.Sym(g))
+		l = uint32(len(w.locals))
+		w.localOf[g] = l
 	}
-	return binary.AppendUvarint(dst, uint64(s)+1)
+	return binary.AppendUvarint(dst, uint64(l)), nil
 }
 
-// Append encodes one trace into the open segment. A stage change seals
-// the open segment first: a segment holds traces of exactly one
-// collection stage, which is what lets replay attribute stages without
-// per-trace tags.
-func (w *SegmentWriter) Append(stage string, tv TraceView) error {
+// Append encodes one trace into the open segment. src, dst and hops
+// are the trace's log-global address symbols: the source's, the
+// destination's, and one per responsive hop in TTL order. Symbols are
+// dense and assigned in first-seen order over the log's traces —
+// source, destination, then responsive hops — so a symbol the log has
+// not seen yet must be the next unused one; Append rejects any other.
+// That is exactly the order a campaign's address table assigns its
+// IDs, so the campaign passes its own IDs.
+//
+// A stage change seals the open segment first: a segment holds traces
+// of exactly one collection stage, which is what lets replay attribute
+// stages without per-trace tags.
+func (w *SegmentWriter) Append(stage string, tv TraceView, src, dst uint32, hops []uint32) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -274,9 +294,14 @@ func (w *SegmentWriter) Append(stage string, tv TraceView) error {
 		}
 	}
 	w.stage = stage
-	b := w.body
-	b = w.appendAddr(b, tv.Src)
-	b = w.appendAddr(b, tv.Dst)
+	b, err := w.appendSym(w.body, src, tv.Src)
+	if err == nil {
+		b, err = w.appendSym(b, dst, tv.Dst)
+	}
+	if err != nil {
+		w.err = err
+		return err
+	}
 	var flags byte
 	if tv.Reached {
 		flags |= 1
@@ -295,11 +320,30 @@ func (w *SegmentWriter) Append(stage string, tv TraceView) error {
 	n := tv.NumHops()
 	b = binary.AppendUvarint(b, uint64(n))
 	st, lo := tv.store, tv.lo
+	next := 0
 	for k := 0; k < n; k++ {
-		b = w.appendAddr(b, st.addrs[lo+k])
+		if st.types[lo+k] == netsim.Timeout {
+			b = append(b, 0) // unresponsive "*"
+		} else {
+			if next == len(hops) {
+				err = fmt.Errorf("traceroute: trace %s>%s has more responsive hops than its %d symbols", tv.Src, tv.Dst, len(hops))
+				break
+			}
+			if b, err = w.appendSym(b, hops[next], st.addrs[lo+k]); err != nil {
+				break
+			}
+			next++
+		}
 		b = binary.AppendUvarint(b, uint64(st.ttls[lo+k]))
 		b = binary.AppendUvarint(b, uint64(st.rtts[lo+k]))
 		b = append(b, byte(st.types[lo+k]), st.replyTTLs[lo+k])
+	}
+	if err == nil && next != len(hops) {
+		err = fmt.Errorf("traceroute: trace %s>%s has %d responsive hops, %d symbols", tv.Src, tv.Dst, next, len(hops))
+	}
+	if err != nil {
+		w.err = err
+		return err
 	}
 	w.body = b
 	w.count++
@@ -316,24 +360,41 @@ func (w *SegmentWriter) Seal() error {
 	if w.count == 0 {
 		return nil
 	}
-	prevGlobal := w.global.Len()
-	remap := w.global.Merge(w.local)
 	head := w.head[:0]
 	head = binary.AppendUvarint(head, uint64(len(w.stage)))
 	head = append(head, w.stage...)
 	head = binary.AppendUvarint(head, uint64(w.count))
-	head = binary.AppendUvarint(head, uint64(len(remap)))
-	head = symtab.AppendRemap(head, remap)
-	// New-to-the-log addresses, in global assignment order (Merge
-	// assigns ascending IDs in local first-seen order, so walking the
-	// locals emits them ordered).
-	for s, g := range remap {
-		if int(g) >= prevGlobal {
-			k := w.local.Str(symtab.Sym(s))
-			head = binary.AppendUvarint(head, uint64(len(k)))
-			head = append(head, k...)
+	head = binary.AppendUvarint(head, uint64(len(w.locals)))
+	head = symtab.AppendRemap(head, w.locals)
+	// New-to-the-log addresses, in global symbol order (which is also
+	// their local first-use order).
+	for _, a := range w.fresh {
+		if a.Is4() {
+			k := a.As4()
+			head = binary.AppendUvarint(head, 4)
+			head = append(head, k[:]...)
+		} else {
+			k := a.As16()
+			head = binary.AppendUvarint(head, 16)
+			head = append(head, k[:]...)
 		}
 	}
+	if err := w.writeFrame(head); err != nil {
+		return err
+	}
+	for _, g := range w.locals {
+		w.localOf[g] = 0
+	}
+	w.nGlobal += len(w.fresh)
+	w.locals = w.locals[:0]
+	w.fresh = w.fresh[:0]
+	return w.writeManifest()
+}
+
+// writeFrame writes the open segment's frame — head, then the trace
+// bodies, behind the length and CRC — records it in a durable log's
+// manifest (which the caller then publishes), and empties the body.
+func (w *SegmentWriter) writeFrame(head []byte) error {
 	crc := crc32.ChecksumIEEE(head)
 	crc = crc32.Update(crc, crc32.IEEETable, w.body)
 	var fh [8]byte
@@ -376,8 +437,7 @@ func (w *SegmentWriter) Seal() error {
 	w.head = head[:0]
 	w.body = w.body[:0]
 	w.count = 0
-	w.local = symtab.New(0)
-	return w.writeManifest()
+	return nil
 }
 
 // Close seals any open segment, flushes, and closes the file.

@@ -144,15 +144,74 @@ func fingerprint(stage string, tv TraceView) string {
 	return s
 }
 
+// logSyms assigns a log's address symbols the way a campaign's
+// address table assigns its IDs — first-seen over each appended
+// trace's source, destination and responsive hops — and passes them to
+// Append.
+type logSyms struct {
+	ids  map[netip.Addr]uint32
+	hops []uint32
+}
+
+// logSymsOf returns the symbol table of the log at path, for appending
+// to it after a resume.
+func logSymsOf(t *testing.T, path string) *logSyms {
+	t.Helper()
+	r, err := OpenSegmentLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var w SymWindow
+	for {
+		ok, err := r.NextSyms(&w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	l := &logSyms{}
+	for _, a := range r.Addrs() {
+		l.sym(a)
+	}
+	return l
+}
+
+func (l *logSyms) sym(a netip.Addr) uint32 {
+	if l.ids == nil {
+		l.ids = map[netip.Addr]uint32{}
+	}
+	id, ok := l.ids[a]
+	if !ok {
+		id = uint32(len(l.ids))
+		l.ids[a] = id
+	}
+	return id
+}
+
+func (l *logSyms) append(w *SegmentWriter, stage string, tv TraceView) error {
+	src, dst := l.sym(tv.Src), l.sym(tv.Dst)
+	l.hops = l.hops[:0]
+	for k := 0; k < tv.NumHops(); k++ {
+		if tv.HopResponded(k) {
+			l.hops = append(l.hops, l.sym(tv.Hop(k).Addr))
+		}
+	}
+	return w.Append(stage, tv, src, dst, l.hops)
+}
+
 func writeLog(t *testing.T, path string, stages []string, perStage [][]TraceView) {
 	t.Helper()
 	w, err := CreateSegmentLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var syms logSyms
 	for i, stage := range stages {
 		for _, tv := range perStage[i] {
-			if err := w.Append(stage, tv); err != nil {
+			if err := syms.append(w, stage, tv); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -306,6 +365,34 @@ func TestNextSymsMatchesNext(t *testing.T) {
 	}
 }
 
+// TestSegmentAppendRejectsSymbolGap checks that Append refuses a symbol
+// new to the log that is not the next unused one, and a symbol list
+// that does not match the trace's responsive hops: the address delta
+// is written in symbol order, so either would make the log undecodable.
+func TestSegmentAppendRejectsSymbolGap(t *testing.T) {
+	var store HopStore
+	store.push(Hop{TTL: 1, Addr: netip.MustParseAddr("10.0.0.1"), Type: netsim.TTLExceeded})
+	tv := TraceView{Trace: Trace{Src: netip.MustParseAddr("192.0.2.1"), Dst: netip.MustParseAddr("192.0.2.2")}, store: &store, lo: 0, hi: 1}
+	for _, tc := range []struct {
+		name     string
+		src, dst uint32
+		hops     []uint32
+	}{
+		{"gap", 0, 2, []uint32{1}},
+		{"missing hop symbol", 0, 1, nil},
+		{"extra hop symbol", 0, 1, []uint32{2, 3}},
+	} {
+		w, err := CreateSegmentLog(filepath.Join(t.TempDir(), "traces.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append("sweep", tv, tc.src, tc.dst, tc.hops); err == nil {
+			t.Errorf("%s: Append accepted symbols %d, %d, %v", tc.name, tc.src, tc.dst, tc.hops)
+		}
+		w.Close()
+	}
+}
+
 // TestSegmentStageChangeSeals checks that Append auto-seals on a stage
 // boundary, producing one single-stage segment per stage.
 func TestSegmentStageChangeSeals(t *testing.T) {
@@ -318,8 +405,9 @@ func TestSegmentStageChangeSeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	stages := []string{"a", "a", "b", "b", "b", "c"}
+	var syms logSyms
 	for i, tv := range views {
-		if err := w.Append(stages[i], tv); err != nil {
+		if err := syms.append(w, stages[i], tv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -555,8 +643,9 @@ func validLogBytesFuzz() []byte {
 	if err != nil {
 		return nil
 	}
+	var syms logSyms
 	for _, tv := range views {
-		if w.Append("sweep", tv) != nil {
+		if syms.append(w, "sweep", tv) != nil {
 			return nil
 		}
 	}

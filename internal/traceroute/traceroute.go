@@ -67,6 +67,12 @@ type Engine struct {
 	// engine's stack copy, never on a shared Engine.
 	cols   *HopStore
 	colsLo int
+
+	// path is the storage each trace compiles its flow into: the
+	// leased arena's or columnar store's, so a trace allocates nothing
+	// for its flow. Bound like arena and cols; nil compiles into fresh
+	// storage.
+	path *netsim.PathBuf
 }
 
 // arenaChunk is the hopArena refill size. At campaign scale most traces
@@ -83,7 +89,8 @@ const arenaChunk = 2048
 // trace still references it, which is the same retention as per-trace
 // allocation.
 type hopArena struct {
-	buf []Hop
+	buf  []Hop
+	path netsim.PathBuf
 }
 
 var hopArenas = sync.Pool{New: func() any { return new(hopArena) }}
@@ -124,6 +131,10 @@ type HopStore struct {
 	rtts      []time.Duration
 	types     []netsim.ReplyType
 	replyTTLs []uint8
+
+	// path is the chunk's flow-compile storage: each trace compiles
+	// into it in turn (a trace's flow is dead once the trace returns).
+	path netsim.PathBuf
 }
 
 // Len reports the number of stored hop rows.
@@ -347,6 +358,7 @@ func (e *Engine) traceWith(clk *vclock.Clock, src, dst netip.Addr) Trace {
 	cfg.defaults()
 	cfg.arena = hopArenas.Get().(*hopArena)
 	defer hopArenas.Put(cfg.arena)
+	cfg.path = &cfg.arena.path
 	if cfg.Mode == Parallel {
 		return cfg.traceParallel(src, dst)
 	}
@@ -373,6 +385,7 @@ func (e *Engine) traceColumnar(clk *vclock.Clock, store *HopStore, src, dst neti
 	cfg.defaults()
 	cfg.cols = store
 	cfg.colsLo = store.Len()
+	cfg.path = &store.path
 	var tr Trace
 	if cfg.Mode == Parallel {
 		tr = cfg.traceParallel(src, dst)
@@ -434,7 +447,7 @@ func (e *Engine) traceSequential(src, dst netip.Addr) Trace {
 	tr := Trace{Src: src, Dst: dst, FlowID: flowID(src, dst)}
 	// Resolve the flow's forwarding path once; every TTL below replays
 	// it instead of re-resolving per probe.
-	flow := e.Net.CompileFlow(src, dst, tr.FlowID)
+	flow := e.Net.CompileFlowInto(e.path, src, dst, tr.FlowID)
 	if e.cols == nil {
 		tr.Hops = e.takeHops(&flow)
 	}
@@ -496,7 +509,7 @@ func (e *Engine) traceSequential(src, dst netip.Addr) Trace {
 // energy saving comes from.
 func (e *Engine) traceParallel(src, dst netip.Addr) Trace {
 	tr := Trace{Src: src, Dst: dst, FlowID: flowID(src, dst)}
-	flow := e.Net.CompileFlow(src, dst, tr.FlowID)
+	flow := e.Net.CompileFlowInto(e.path, src, dst, tr.FlowID)
 	if e.cols == nil {
 		tr.Hops = e.takeHops(&flow)
 	}
