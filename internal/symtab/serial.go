@@ -65,15 +65,3 @@ func DecodeRemap(b []byte) ([]Sym, []byte, error) {
 	}
 	return remap, b, nil
 }
-
-// InternBytes is Intern for a byte-slice key. The map lookup on the hit
-// path performs no conversion allocation (the compiler recognizes the
-// map[string] index with a converted []byte); only a first-seen miss
-// materializes the string. The segment writer interns packed address
-// bytes through this without per-row garbage.
-func (t *Table) InternBytes(b []byte) Sym {
-	if id, ok := t.ids[string(b)]; ok {
-		return id
-	}
-	return t.Intern(string(b))
-}

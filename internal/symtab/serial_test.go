@@ -53,24 +53,3 @@ func TestDecodeRemapMalformed(t *testing.T) {
 		}
 	}
 }
-
-func TestInternBytes(t *testing.T) {
-	tab := New(0)
-	a := tab.InternBytes([]byte{10, 0, 0, 1})
-	b := tab.InternBytes([]byte{10, 0, 0, 2})
-	if a == b {
-		t.Fatal("distinct keys collided")
-	}
-	if got := tab.InternBytes([]byte{10, 0, 0, 1}); got != a {
-		t.Fatalf("re-intern returned %d, want %d", got, a)
-	}
-	if got := tab.Intern(string([]byte{10, 0, 0, 2})); got != b {
-		t.Fatalf("string intern returned %d, want %d", got, b)
-	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tab.Len())
-	}
-	if allocs := testing.AllocsPerRun(100, func() { tab.InternBytes([]byte{10, 0, 0, 1}) }); allocs > 0 {
-		t.Fatalf("hit path allocates %v per op", allocs)
-	}
-}
