@@ -55,17 +55,21 @@ race-infer:
 # landed, across a GOMAXPROCS x workers grid. The zero-fault-plan test
 # extends the same guarantee to the fault layer: an installed-but-empty
 # FaultPlan may not move a byte. The netsim tests pin the fast path's
-# allocations (a compiled flow's probe allocates nothing, a compile two
-# objects) and the comap test holds the packed-key MPLS false-pair pass
+# allocations (a compiled flow's probe allocates nothing, a compile one
+# object) and the comap test holds the packed-key MPLS false-pair pass
 # to its [2]netip.Addr reference. The snapshot tests hold regiond's
 # pre-encoded answers byte-identical to json.Encoder over the struct
 # API and pin their per-request allocations. The AddrID tests hold the
 # archive's interned address IDs to first-seen fold order: the same ID
 # table and per-path ID sequences at every worker count and window
-# size, and after a durable kill-and-resume.
+# size, and after a durable kill-and-resume. The routing reference
+# tests hold the flat shortest-path trees, the predecessor walk and the
+# egress-set MPLS pass to the incremental implementations they
+# replaced, and the ping test pins a ping series' allocations whatever
+# its length.
 equivalence:
-	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ ./internal/snapshot/ -count=1 \
-		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs|TestAddrIDsStableAcrossWorkersAndWindows|TestArchiveInternsFirstSeen|TestSegmentWriterMatchesInterningReference|TestCompileFlowIntoAllocatesNothing'
+	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ ./internal/snapshot/ ./internal/ping/ -count=1 \
+		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs|TestAddrIDsStableAcrossWorkersAndWindows|TestArchiveInternsFirstSeen|TestSegmentWriterMatchesInterningReference|TestCompileFlowIntoAllocatesNothing|TestShortestPathsMatchReference|TestRouterPathMatchesReference|TestVisiblePathMatchesReference|TestPingAllocs'
 
 # Graceful degradation: the faulted campaign must stay deterministic
 # across worker counts, account for every probe, and the chaos sweep's

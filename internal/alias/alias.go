@@ -14,6 +14,7 @@ import (
 	"math"
 	"net/netip"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -277,29 +278,37 @@ func (r *Resolver) MIDARInto(targets []netip.Addr, res *Result) {
 
 // mercator sends one UDP probe to a high port on each target; a
 // port-unreachable from a different source address is an alias pair.
-// The probes fan out over the scheduler; evidence folds in target order.
-// idx holds each target's index in res.
+// The probes fan out over the scheduler, each worker chunk compiling
+// its flows into one leased path buffer; evidence folds in target
+// order. idx holds each target's index in res.
 func (r *Resolver) mercator(targets []netip.Addr, idx []int32, res *Result) {
 	pool := probesched.New(r.Parallelism, r.Clock)
 	jobs := make([]int, len(targets))
 	for i := range jobs {
 		jobs[i] = i
 	}
-	replies := probesched.Map(pool, jobs, func(clk *vclock.Clock, i int) netsim.Reply {
-		reply := r.Net.Probe(clk.Now(), netsim.ProbeSpec{
-			Src: r.VP, Dst: targets[i], TTL: 64, Proto: netsim.UDP, Seq: uint32(i),
+	var bufs sync.Pool
+	probesched.MapFold(pool, jobs,
+		func() *netsim.PathBuf {
+			if b, ok := bufs.Get().(*netsim.PathBuf); ok {
+				return b
+			}
+			return new(netsim.PathBuf)
+		},
+		func(b *netsim.PathBuf) { bufs.Put(b) },
+		func(clk *vclock.Clock, path *netsim.PathBuf, i int) netsim.Reply {
+			flow := r.Net.CompileFlowInto(path, r.VP, targets[i], 0)
+			reply := flow.Probe(clk.Now(), 64, netsim.UDP, uint32(i))
+			clk.Advance(20 * time.Millisecond)
+			return reply
+		},
+		func(i int, reply netsim.Reply) {
+			r.observe(reply, false)
+			if reply.Type == netsim.PortUnreachable && reply.From.IsValid() && reply.From != targets[i] {
+				res.union(idx[i], res.intern(reply.From))
+				res.MercatorPairs++
+			}
 		})
-		clk.Advance(20 * time.Millisecond)
-		return reply
-	})
-	for i, reply := range replies {
-		t := targets[i]
-		r.observe(reply, false)
-		if reply.Type == netsim.PortUnreachable && reply.From.IsValid() && reply.From != t {
-			res.union(idx[i], res.intern(reply.From))
-			res.MercatorPairs++
-		}
-	}
 }
 
 // ipidSample is one (virtual time, IP-ID) observation.

@@ -36,25 +36,40 @@ func (r *Resolver) midar(targets []netip.Addr, idx []int32, res *Result) {
 	// compiled flow. Flow.Probe is bit-identical to Network.Probe (see
 	// internal/netsim), so the reply stream — and hence the IP-ID
 	// evidence — is unchanged; only the per-probe destination resolution
-	// and path-cache lookups disappear. Flows live in one slice indexed
-	// like targets (candidates keep a pointer into it), not a per-target
-	// heap allocation.
-	flows := make([]netsim.Flow, len(targets))
-	for i, t := range targets {
-		flows[i] = r.Net.CompileFlow(r.VP, t, 0)
+	// and path walks disappear. Compiling probes nothing, so the flows
+	// compile across the pool. Flows and their path buffers live in
+	// resolver-owned slices indexed like targets (candidates keep a
+	// pointer into flows), reused by every partition.
+	sc := &r.scratch
+	if len(sc.paths) < len(targets) {
+		sc.paths = append(sc.paths, make([]netsim.PathBuf, len(targets)-len(sc.paths))...)
 	}
+	if cap(sc.flows) < len(targets) {
+		sc.flows = make([]netsim.Flow, len(targets))
+	}
+	flows, paths := sc.flows[:len(targets)], sc.paths
+	probesched.Reduce(probesched.New(r.Parallelism, nil), len(targets),
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) struct{} {
+			flows[i] = r.Net.CompileFlowInto(&paths[i], r.VP, targets[i], 0)
+			return struct{}{}
+		},
+		func(struct{}, struct{}) struct{} { return struct{}{} })
 	for pass := 0; pass < r.Passes; pass++ {
 		r.midarPass(idx, flows, res, pass)
 	}
 }
 
-// midarScratch holds the IP-ID stage's reusable buffers: the flat
-// estimation-sample grid (row i = target i's samples, EstimationSamples
-// wide) with its per-row fill counts, plus the MBT's series and fit
-// arrays. Reused across rounds, passes, and regional partitions, the
-// whole IP-ID stage settles into zero steady-state allocation; a map of
-// per-target append-grown slices was ~4.5k allocations per campaign.
+// midarScratch holds the IP-ID stage's reusable buffers: the targets'
+// compiled flows and their path storage, the flat estimation-sample
+// grid (row i = target i's samples, EstimationSamples wide) with its
+// per-row fill counts, plus the MBT's series and fit arrays. Reused
+// across rounds, passes, and regional partitions, the whole IP-ID stage
+// settles into zero steady-state allocation; a map of per-target
+// append-grown slices was ~4.5k allocations per campaign.
 type midarScratch struct {
+	flows     []netsim.Flow
+	paths     []netsim.PathBuf
 	samples   []ipidSample
 	counts    []int
 	series    []ipidSample

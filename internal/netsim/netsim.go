@@ -16,9 +16,10 @@
 // Topology construction (AddRouter, AddIface, Connect, AddHost,
 // AddPrefix, AddTunnel) is single-threaded: wire the network before the
 // first probe. Once built, Probe is safe to call from any number of
-// goroutines: the shortest-path cache, the only routing state shared
-// between probes, is guarded by a read-write mutex (a compiled path
-// belongs to the one Flow or Probe call that built it), the per-router
+// goroutines: the route table, the only routing state shared between
+// probes, publishes each shortest-path tree whole through an atomic
+// pointer (a compiled path belongs to the one Flow or Probe call that
+// built it), the per-router
 // and per-interface IP-ID counters are atomics, and every other
 // per-probe "random" draw (jitter, rate-limit, ECMP tie breaks) is a
 // pure splitmix-style hash of (seed, probe parameters), so no probe can
@@ -39,7 +40,7 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -129,6 +130,9 @@ type Router struct {
 	ifaces []*Iface
 	net    *Network
 	idx    int32 // index into Network.routers
+	// lspEgress is the sorted, duplicate-free set of egress routers of
+	// the MPLS LSPs this router originates (see AddTunnel).
+	lspEgress []RouterID
 }
 
 // Iface is a router interface with one address.
@@ -200,16 +204,10 @@ type Network struct {
 	// invalidates it.
 	fib atomic.Pointer[trieFIB]
 
-	// tunnels maps an ingress router to the MPLS LSPs it originates.
-	tunnels map[RouterID][]*Tunnel
-
-	// sptMu guards spt, the lazily built shortest-path-tree cache.
-	// Probing goroutines share cached trees; a miss is computed outside
-	// the write lock (Dijkstra is deterministic, so racing builders
-	// produce identical trees and the first store wins).
-	sptMu sync.RWMutex
-	spt   map[RouterID]*sptResult
-	seed  uint64
+	// routeTab is the lazily built routing state (see routing.go); nil
+	// means "rebuild on next lookup".
+	routeTab atomic.Pointer[routeTable]
+	seed     uint64
 
 	// faults is the installed measurement-fault plan (see fault.go);
 	// nil or the zero plan means every probe behaves as if the
@@ -228,22 +226,11 @@ type prefixOwner struct {
 	isp    string
 }
 
-// Tunnel is an MPLS LSP. With no-ttl-propagate semantics a traceroute
-// through the tunnel shows the ingress and egress as adjacent hops; the
-// interior only appears when the probe's destination is an address on
-// the egress or an interior router (Direct Path Revelation).
-type Tunnel struct {
-	Ingress *Router
-	Egress  *Router
-}
-
 // New returns an empty network with the given jitter seed.
 func New(seed uint64) *Network {
 	return &Network{
 		ifaces:          map[netip.Addr]*Iface{},
 		hosts:           map[netip.Addr]*Host{},
-		tunnels:         map[RouterID][]*Tunnel{},
-		spt:             map[RouterID]*sptResult{},
 		seed:            seed,
 		ProcessingDelay: 60 * time.Microsecond,
 		JitterMax:       400 * time.Microsecond,
@@ -260,6 +247,7 @@ func (n *Network) AddRouter(r *Router) *Router {
 		r.ResponseProb = 1
 	}
 	n.routers = append(n.routers, r)
+	n.InvalidateRoutes()
 	return r
 }
 
@@ -323,14 +311,13 @@ func (n *Network) AddHost(h *Host) error {
 	return nil
 }
 
-// InvalidateRoutes drops the cached shortest-path trees. Connect calls
-// it automatically; callers that tune Link.Metric or Link.Delay after
-// wiring must call it themselves. Flows compiled before the call keep
-// their old path; compile them again.
+// InvalidateRoutes drops the routing adjacency and the cached
+// shortest-path trees. AddRouter and Connect call it automatically;
+// callers that tune Link.Metric or Link.Delay after wiring must call it
+// themselves. Flows compiled before the call keep their old path;
+// compile them again.
 func (n *Network) InvalidateRoutes() {
-	n.sptMu.Lock()
-	n.spt = map[RouterID]*sptResult{}
-	n.sptMu.Unlock()
+	n.routeTab.Store(nil)
 }
 
 // AddPrefix declares that unassigned addresses within prefix are served
@@ -349,9 +336,17 @@ func (n *Network) AddPrefix(p netip.Prefix, r *Router, isp string) {
 	n.invalidateFIB()
 }
 
-// AddTunnel installs an MPLS LSP from ingress to egress.
+// AddTunnel installs an MPLS LSP from ingress to egress. With
+// no-ttl-propagate semantics a traceroute through the tunnel shows the
+// ingress and egress as adjacent hops; the interior only appears when
+// the probe's destination is an address on the egress or an interior
+// router (Direct Path Revelation). Installing the same LSP twice is
+// the same as installing it once.
 func (n *Network) AddTunnel(ingress, egress *Router) {
-	n.tunnels[ingress.ID] = append(n.tunnels[ingress.ID], &Tunnel{Ingress: ingress, Egress: egress})
+	i, found := slices.BinarySearch(ingress.lspEgress, egress.ID)
+	if !found {
+		ingress.lspEgress = slices.Insert(ingress.lspEgress, i, egress.ID)
+	}
 }
 
 // Routers returns the ground-truth router list; for generators and
@@ -363,22 +358,6 @@ func (n *Network) Routers() []*Router { return n.routers }
 func (n *Network) IfaceByAddr(a netip.Addr) (*Iface, bool) {
 	ifc, ok := n.ifaces[a]
 	return ifc, ok
-}
-
-// HostByAddr returns the ground-truth host for an address; for
-// generators and scoring only.
-func (n *Network) HostByAddr(a netip.Addr) (*Host, bool) {
-	h, ok := n.hosts[a]
-	return h, ok
-}
-
-// Hosts returns all hosts; for generators and scoring only.
-func (n *Network) Hosts() []*Host {
-	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
-	}
-	return out
 }
 
 // Interfaces returns ground-truth interfaces of a router.

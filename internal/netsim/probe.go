@@ -3,6 +3,7 @@ package netsim
 import (
 	"encoding/binary"
 	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -119,94 +120,39 @@ type visibleHop struct {
 // visiblePath applies MPLS no-ttl-propagate semantics to a router path:
 // hops strictly inside a tunnel are removed unless the probe is addressed
 // to an interface of the egress or of an interior router (Direct Path
-// Revelation, per Vanaubel et al.). Probes toward hosts or bare prefixes
-// beyond the egress ride the LSP and never see the interior. The source
-// router itself is not included in the result, which is written over
-// out's storage (grown only when it is too small).
-func (n *Network) visiblePath(out []visibleHop, path []pathHop, dstRouter *Router, dstIsRouterAddr bool) []visibleHop {
-	// Router paths are a handful of hops, so position lookups scan the
-	// path directly and the hidden mask lives on the stack — a map and a
-	// heap slice per compiled flow otherwise.
-	pos := func(id RouterID) (int, bool) {
-		for i, h := range path {
-			if h.router.ID == id {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	var hiddenBuf [64]bool
-	var hidden []bool
-	if len(path) <= len(hiddenBuf) {
-		hidden = hiddenBuf[:len(path)]
-	} else {
-		hidden = make([]bool, len(path))
-	}
-	dstPos := len(path) // beyond every hop unless the dst is a router
-	if dstIsRouterAddr {
-		if p, ok := pos(dstRouter.ID); ok {
-			dstPos = p
-		}
-	}
-	for i, h := range path {
-		for _, t := range n.tunnels[h.router.ID] {
-			e, ok := pos(t.Egress.ID)
-			if !ok || e <= i {
-				continue
-			}
-			// DPR: destinations on or before the egress keep the
-			// interior visible.
-			if dstPos <= e {
-				continue
-			}
-			for j := i + 1; j < e; j++ {
-				hidden[j] = true
-			}
-		}
-	}
+// Revelation, per Vanaubel et al.), which is then the path's last
+// router. Probes toward hosts or bare prefixes beyond the egress ride
+// the LSP and never see the interior. The source router itself is not
+// included in the result, which is written over out's storage (grown
+// only when it is too small).
+//
+// Of the LSPs one hop originates, the one whose egress lies farthest
+// along the path (short of a router destination) hides a superset of
+// what the others hide. So each ingress asks its sorted egress set
+// about the later hops, farthest first, and stops at the first hit;
+// the hidden hops are then one running bound.
+func visiblePath(out []visibleHop, path []pathHop, toRouterAddr bool) []visibleHop {
 	if need := len(path) - 1; cap(out) < need {
 		out = make([]visibleHop, 0, need)
-	} else {
-		out = out[:0]
 	}
-	for i := 1; i < len(path); i++ {
-		if hidden[i] {
-			continue
+	out = out[:0]
+	end := len(path) // an egress hides hops only when it lies before end
+	if toRouterAddr {
+		end--
+	}
+	hideBefore := 0 // hops before this index, after some ingress, ride an LSP
+	for i, h := range path {
+		if i > 0 && i >= hideBefore {
+			out = append(out, visibleHop{router: h.router, in: h.in, delay: h.delay, hops: i})
 		}
-		out = append(out, visibleHop{
-			router: path[i].router,
-			in:     path[i].in,
-			delay:  path[i].delay,
-			hops:   i,
-		})
+		for e := end - 1; e > max(i+1, hideBefore) && len(h.router.lspEgress) > 0; e-- {
+			if _, ok := slices.BinarySearch(h.router.lspEgress, path[e].router.ID); ok {
+				hideBefore = e
+				break
+			}
+		}
 	}
 	return out
-}
-
-// compiledPath is the replayable result of routerPath + visiblePath for
-// one (src router, dst router, flow ID, dst-is-router-address) tuple:
-// everything the visible hop sequence depends on. Probes index into vis
-// but never write it, so one compiled path serves any number of
-// goroutines until it is compiled over (see PathBuf).
-type compiledPath struct {
-	reachable bool
-	// vis is the TTL-consuming hop sequence with MPLS-hidden hops
-	// already removed (the source router is not included).
-	vis []visibleHop
-}
-
-// compilePath walks the flow's router path and applies MPLS visibility
-// to it, writing the result over cp (its hop slice is reused). Nothing
-// is cached: the caller owns cp.
-func (n *Network) compilePath(cp *compiledPath, src, dst RouterID, flowID uint16, toRouterAddr bool) {
-	var buf [64]pathHop
-	path := n.routerPath(buf[:], src, dst, flowID)
-	cp.reachable = path != nil
-	if path == nil {
-		cp.vis = cp.vis[:0]
-		return
-	}
-	cp.vis = n.visiblePath(cp.vis, path, n.routers[dst], toRouterAddr)
 }
 
 // Probe injects one probe at virtual time `at` and returns the response.
@@ -297,20 +243,24 @@ type Flow struct {
 	dstRouter *Router
 	dstHost   *Host
 	dstIface  *Iface
-	cp        *compiledPath
+	// reachable reports whether the destination router can be reached
+	// at all; vis is then the TTL-consuming hop sequence with
+	// MPLS-hidden hops already removed (the source router is not
+	// included). Probes index into vis but never write it.
+	reachable bool
+	vis       []visibleHop
 	hash      flowHash
 }
 
-// unreachableFlow answers every probe with a timeout.
-var unreachableFlow = &compiledPath{}
-
 // PathBuf is reusable storage for a compiled flow's path. A caller that
 // compiles one flow after another on one goroutine — a traceroute
-// worker — compiles each into the same PathBuf with CompileFlowInto,
-// so after the buffer has grown to the longest path seen a compile
-// allocates nothing. The zero PathBuf is ready to use.
+// worker, a ping series — compiles each into the same PathBuf with
+// CompileFlowInto, so after the buffer has grown to the longest path
+// seen a compile allocates nothing. The zero PathBuf is ready to use.
+// A Flow holds the hops, not the buffer, so a PathBuf declared in a
+// function stays on its stack.
 type PathBuf struct {
-	cp compiledPath
+	hops []visibleHop
 }
 
 // CompileFlow resolves src, dst, and the flow's forwarding path once.
@@ -323,10 +273,11 @@ func (n *Network) CompileFlow(src, dst netip.Addr, flowID uint16) Flow {
 }
 
 // CompileFlowInto is CompileFlow writing the flow's path into buf
-// instead of fresh storage; a nil buf allocates one. The Flow reads buf
-// on every probe, so it is valid until buf is compiled into again.
+// instead of fresh storage; a nil buf allocates fresh hops. The Flow
+// reads buf's hops on every probe, so it is valid until buf is compiled
+// into again.
 func (n *Network) CompileFlowInto(buf *PathBuf, src, dst netip.Addr, flowID uint16) Flow {
-	f := Flow{net: n, src: src, dst: dst, flowID: flowID, cp: unreachableFlow}
+	f := Flow{net: n, src: src, dst: dst, flowID: flowID}
 	srcHost, ok := n.hosts[src]
 	if !ok {
 		return f
@@ -341,11 +292,18 @@ func (n *Network) CompileFlowInto(buf *PathBuf, src, dst netip.Addr, flowID uint
 	f.dstRouter = dstRouter
 	f.dstHost = dHost
 	f.dstIface = dIface
-	if buf == nil {
-		buf = new(PathBuf)
+	// The router walk is scratch (visiblePath copies what it keeps), so
+	// it lives on the stack unless the path is longer than 64 routers.
+	var stack [64]pathHop
+	path := n.routerPath(stack[:], srcHost.Router.ID, dstRouter.ID, flowID)
+	if path == nil {
+		return f
 	}
-	n.compilePath(&buf.cp, srcHost.Router.ID, dstRouter.ID, flowID, kind == dstIface)
-	f.cp = &buf.cp
+	if buf == nil {
+		buf = &PathBuf{}
+	}
+	buf.hops = visiblePath(buf.hops, path, kind == dstIface)
+	f.vis, f.reachable = buf.hops, true
 	return f
 }
 
@@ -355,10 +313,10 @@ func (n *Network) CompileFlowInto(buf *PathBuf, src, dst netip.Addr, flowID uint
 // the destination is unresolvable or unreachable — callers sizing hop
 // buffers should treat that as "unknown".
 func (f *Flow) HopsToDst() int {
-	if !f.cp.reachable {
+	if !f.reachable {
 		return 0
 	}
-	h := len(f.cp.vis)
+	h := len(f.vis)
 	if f.kind == dstHost {
 		h++
 	}
@@ -391,10 +349,10 @@ func (f *Flow) Probe(at time.Time, ttl uint8, proto Proto, seq uint32) Reply {
 	if plan != nil && plan.vpOffline(n.seed, f.src, f.hash.src, at) {
 		return Reply{Type: Timeout, Drop: DropVPDown}
 	}
-	if ttl == 0 || !f.cp.reachable {
+	if ttl == 0 || !f.reachable {
 		return Reply{Type: Timeout}
 	}
-	vis := f.cp.vis
+	vis := f.vis
 	p := probe{ttl: ttl, proto: proto, seq: seq}
 
 	// Number of TTL-consuming hops to reach the destination endpoint:

@@ -1,21 +1,72 @@
 package netsim
 
 import (
+	"sync/atomic"
 	"time"
 )
 
-// sptResult is a shortest-path tree rooted at one router, retaining every
-// equal-cost predecessor so ECMP path selection can hash on flow IDs the
-// way Paris traceroute expects.
-type sptResult struct {
-	dist  []time.Duration
-	preds [][]predEdge
+// adjacency is the routing graph in CSR form, built once per topology:
+// router u's linked interfaces, in interface order, are the edges
+// off[u] to off[u+1]. Each edge keeps what Dijkstra's relaxation reads,
+// so that loop chases no Iface or Link pointers.
+type adjacency struct {
+	off []int32
+	to  []int32         // the far-side router
+	w   []time.Duration // routing weight: quantized metric plus hopCost
+	far []*Iface        // the far-side interface: the next hop's inbound
 }
 
-type predEdge struct {
-	from  int32
-	iface *Iface // interface on the successor (current) router
-	link  *Link
+func newAdjacency(routers []*Router) adjacency {
+	a := adjacency{off: make([]int32, len(routers)+1)}
+	for i, r := range routers {
+		a.off[i+1] = a.off[i]
+		for _, ifc := range r.ifaces {
+			if ifc.Link != nil {
+				a.off[i+1]++
+			}
+		}
+	}
+	m := a.off[len(routers)]
+	a.to, a.w, a.far = make([]int32, 0, m), make([]time.Duration, 0, m), make([]*Iface, 0, m)
+	for _, r := range routers {
+		for _, ifc := range r.ifaces {
+			l := ifc.Link
+			if l == nil {
+				continue
+			}
+			metric := l.Delay
+			if l.Metric != 0 {
+				metric = l.Metric
+			}
+			peer := l.Other(ifc)
+			a.to = append(a.to, peer.Router.idx)
+			a.w = append(a.w, quantizeDelay(metric)+hopCost)
+			a.far = append(a.far, peer)
+		}
+	}
+	return a
+}
+
+// routeTable is one topology's routing state: its adjacency and a slot
+// per router for that router's shortest-path tree. A tree is built on
+// its first lookup and published whole into its slot, so lookups take
+// no lock; InvalidateRoutes drops the table.
+type routeTable struct {
+	adj   adjacency
+	trees []atomic.Pointer[sptResult]
+}
+
+// sptResult is a shortest-path tree rooted at one router, retaining every
+// equal-cost predecessor so ECMP path selection can hash on flow IDs the
+// way Paris traceroute expects. Router v's predecessors are the entries
+// predOff[v] to predOff[v+1] of the pred arrays: the predecessor router,
+// the interface on v the packet arrives on, and that link's true delay.
+type sptResult struct {
+	dist      []time.Duration
+	predOff   []int32
+	predFrom  []int32
+	predIn    []*Iface
+	predDelay []time.Duration
 }
 
 type pqItem struct {
@@ -81,87 +132,94 @@ func (p *pq) pop() pqItem {
 
 const unreachable = time.Duration(1<<62 - 1)
 
-// shortestPaths computes (and caches) the SPT rooted at src. Link weight
-// is propagation delay plus a constant hop cost, so the simulator prefers
-// the same low-latency, few-hop paths an IGP with delay-derived metrics
-// would pick. Safe for concurrent probing: the tree is computed outside
-// the write lock (it is deterministic, so concurrent builders agree) and
-// the first stored copy is shared thereafter.
+// routes returns the current route table, building an empty one (with
+// its adjacency) on the first lookup after InvalidateRoutes. Racing
+// builders build identical tables; the first published one wins.
+func (n *Network) routes() *routeTable {
+	for {
+		if t := n.routeTab.Load(); t != nil {
+			return t
+		}
+		t := &routeTable{adj: newAdjacency(n.routers), trees: make([]atomic.Pointer[sptResult], len(n.routers))}
+		n.routeTab.CompareAndSwap(nil, t)
+	}
+}
+
+// shortestPaths returns the SPT rooted at src, building it on the first
+// lookup. Link weight is propagation delay plus a constant hop cost, so
+// the simulator prefers the same low-latency, few-hop paths an IGP with
+// delay-derived metrics would pick. Safe for concurrent probing: Dijkstra
+// is deterministic, so racing builders agree and the first published
+// tree is shared thereafter.
 func (n *Network) shortestPaths(src RouterID) *sptResult {
-	n.sptMu.RLock()
-	r, ok := n.spt[src]
-	n.sptMu.RUnlock()
-	if ok {
+	t := n.routes()
+	slot := &t.trees[src]
+	if r := slot.Load(); r != nil {
 		return r
 	}
-	nr := len(n.routers)
-	res := &sptResult{
-		dist:  make([]time.Duration, nr),
-		preds: make([][]predEdge, nr),
+	slot.CompareAndSwap(nil, t.adj.shortestPaths(int32(src)))
+	return slot.Load()
+}
+
+// shortestPaths runs Dijkstra from src, counting each router's
+// equal-cost predecessors as it relaxes, then fills the lists: v's
+// predecessors are every settled u with dist[u]+w == dist[v], in settle
+// order and then interface order. That is the list, in that order, the
+// incremental build kept in routing_ref_test.go appended: weights are
+// positive, so every such u settles before v, and a relaxation can only
+// tie v's final distance once the one that set it has run.
+func (a *adjacency) shortestPaths(src int32) *sptResult {
+	nr := len(a.off) - 1
+	dist := make([]time.Duration, nr)
+	for i := range dist {
+		dist[i] = unreachable
 	}
-	for i := range res.dist {
-		res.dist[i] = unreachable
-	}
-	res.dist[src] = 0
+	dist[src] = 0
+	off := make([]int32, nr+1) // off[v+1] counts v's predecessors
+	order := make([]int32, 0, nr)
 	q := make(pq, 0, nr)
-	q.push(pqItem{router: int32(src), dist: 0})
-	done := make([]bool, nr)
-	// Single-predecessor nodes — the overwhelming majority — carve their
-	// one-entry preds slice out of a shared arena instead of allocating
-	// individually (one allocation per reachable node per SPT root adds
-	// up to millions across a scaled campaign's vantage points). Carves
-	// are capacity-clamped, so a node that later gains an equal-cost
-	// predecessor appends out of the arena into its own slice without
-	// touching its neighbor's entry.
-	arena := make([]predEdge, 0, nr)
-	carve := func(pe predEdge) []predEdge {
-		if cap(arena)-len(arena) >= 1 {
-			s := arena[len(arena) : len(arena)+1 : len(arena)+1]
-			arena = arena[:len(arena)+1]
-			s[0] = pe
-			return s
-		}
-		return []predEdge{pe}
-	}
+	q.push(pqItem{router: src, dist: 0})
 	for len(q) > 0 {
 		it := q.pop()
 		u := it.router
-		if done[u] {
-			continue
+		if it.dist != dist[u] {
+			continue // superseded by a shorter push, which settled u
 		}
-		done[u] = true
-		for _, ifc := range n.routers[u].ifaces {
-			if ifc.Link == nil {
-				continue
-			}
-			peer := ifc.Link.Other(ifc)
-			v := peer.Router.idx
-			metric := ifc.Link.Delay
-			if ifc.Link.Metric != 0 {
-				metric = ifc.Link.Metric
-			}
-			w := it.dist + quantizeDelay(metric) + hopCost
-			switch {
-			case w < res.dist[v]:
-				res.dist[v] = w
-				if res.preds[v] == nil {
-					res.preds[v] = carve(predEdge{from: u, iface: peer, link: ifc.Link})
-				} else {
-					res.preds[v] = append(res.preds[v][:0], predEdge{from: u, iface: peer, link: ifc.Link})
-				}
+		order = append(order, u)
+		for e := a.off[u]; e < a.off[u+1]; e++ {
+			switch v, w := a.to[e], it.dist+a.w[e]; {
+			case w < dist[v]:
+				dist[v], off[v+1] = w, 1
 				q.push(pqItem{router: v, dist: w})
-			case w == res.dist[v]:
-				res.preds[v] = append(res.preds[v], predEdge{from: u, iface: peer, link: ifc.Link})
+			case w == dist[v]:
+				off[v+1]++
 			}
 		}
 	}
-	n.sptMu.Lock()
-	if prev, ok := n.spt[src]; ok {
-		n.sptMu.Unlock()
-		return prev
+	// Prefix-sum the counts into list starts and fill each list with
+	// off[v] as its cursor, which leaves off[v] at v's end; one shift
+	// turns the ends back into starts.
+	for v := 0; v < nr; v++ {
+		off[v+1] += off[v]
 	}
-	n.spt[src] = res
-	n.sptMu.Unlock()
+	res := &sptResult{
+		dist:      dist,
+		predOff:   off,
+		predFrom:  make([]int32, off[nr]),
+		predIn:    make([]*Iface, off[nr]),
+		predDelay: make([]time.Duration, off[nr]),
+	}
+	for _, u := range order {
+		for e := a.off[u]; e < a.off[u+1]; e++ {
+			if v := a.to[e]; dist[u]+a.w[e] == dist[v] {
+				k := off[v]
+				off[v]++
+				res.predFrom[k], res.predIn[k], res.predDelay[k] = u, a.far[e], a.far[e].Link.Delay
+			}
+		}
+	}
+	copy(off[1:], off[:nr])
+	off[0] = 0
 	return res
 }
 
@@ -195,10 +253,7 @@ type pathHop struct {
 // routerPath fills buf with the routers a packet traverses from src to
 // dst, choosing among equal-cost alternatives with a hash of flowID so
 // equal flow IDs always take identical paths (Paris traceroute
-// invariant). Returns nil when dst is unreachable from src. The walk is
-// scratch: visiblePath copies what it keeps, so compilePath passes a
-// stack buffer and append only reaches the heap for paths longer than
-// that buffer.
+// invariant). Returns nil when dst is unreachable from src.
 func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []pathHop {
 	spt := n.shortestPaths(src)
 	if spt.dist[dst] == unreachable {
@@ -206,15 +261,21 @@ func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []
 	}
 	// Walk predecessors from dst back to src; the picks are pure
 	// functions of (seed, flowID, router), and the (seed, flowID)
-	// prefix of that hash is folded once per walk.
+	// prefix of that hash is folded once per walk. A router with one
+	// predecessor takes it whatever the hash, so only ECMP branch
+	// points hash at all.
 	fh := mix(n.seed, uint64(flowID))
 	rev := buf[:0]
 	cur := int32(dst)
 	for cur != int32(src) {
-		preds := spt.preds[cur]
-		pick := preds[int(mixStep(fh, uint64(cur))%uint64(len(preds)))]
-		rev = append(rev, pathHop{router: n.routers[cur], in: pick.iface})
-		cur = pick.from
+		k := spt.predOff[cur]
+		if m := spt.predOff[cur+1] - k; m > 1 {
+			k += int32(mixStep(fh, uint64(cur)) % uint64(m))
+		}
+		// delay holds the link's own delay until the forward pass
+		// below accumulates it.
+		rev = append(rev, pathHop{router: n.routers[cur], in: spt.predIn[k], delay: spt.predDelay[k]})
+		cur = spt.predFrom[k]
 	}
 	rev = append(rev, pathHop{router: n.routers[src], in: nil, delay: 0})
 	// Reverse into forward order and accumulate the physical delays of
@@ -223,7 +284,7 @@ func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	for i := 1; i < len(rev); i++ {
-		rev[i].delay = rev[i-1].delay + rev[i].in.Link.Delay
+		rev[i].delay += rev[i-1].delay
 	}
 	return rev
 }

@@ -93,14 +93,20 @@ func (p *Pinger) Ping(src, dst netip.Addr, count int) Series {
 	cfg := *p
 	cfg.defaults()
 	var s Series
+	// Every probe is its own flow (pings are not Paris; ECMP spreads
+	// them), compiled into one buffer the series reuses.
+	var path netsim.PathBuf
 	for i := 0; i < count; i++ {
-		r := cfg.Net.Probe(cfg.Clock.Now(), netsim.ProbeSpec{
-			Src: src, Dst: dst, TTL: 64, Proto: netsim.ICMPEcho, Seq: uint32(i),
-			FlowID: uint16(i), // pings are not Paris; let ECMP spread them
-		})
+		flow := cfg.Net.CompileFlowInto(&path, src, dst, uint16(i))
+		r := flow.Probe(cfg.Clock.Now(), 64, netsim.ICMPEcho, uint32(i))
 		s.Sent++
 		if r.Type == netsim.EchoReply {
 			s.Received++
+			if s.RTTs == nil {
+				// Room for every reply still to come: the series'
+				// one allocation besides its path buffer.
+				s.RTTs = make([]time.Duration, 0, count-i)
+			}
 			s.RTTs = append(s.RTTs, r.RTT)
 			cfg.Clock.Advance(r.RTT)
 		} else {

@@ -112,3 +112,22 @@ func TestPingAdvancesClock(t *testing.T) {
 		t.Error("clock did not advance through ping intervals")
 	}
 }
+
+// TestPingAllocs pins a series' allocations whatever its length: the
+// RTT slice, sized at the first reply, and the hop storage of the one
+// path buffer every probe's flow compiles into. A compile per probe
+// allocates nothing once that buffer has grown.
+func TestPingAllocs(t *testing.T) {
+	net, vp, tgt, _ := testNet(t)
+	p := &Pinger{Net: net, Clock: clock()}
+	for _, n := range []int{1, 16, 256} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if s := p.Ping(vp.Addr, tgt.Addr, n); s.Received != n {
+				t.Fatalf("received %d/%d", s.Received, n)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("Ping of %d probes allocates %v times, want 2 (RTT slice and path buffer)", n, allocs)
+		}
+	}
+}

@@ -32,6 +32,7 @@ func Drive(net *netsim.Network, dns *dnsdb.DB, clock *vclock.Clock, modem *topog
 	from, to geo.Point, steps int, speedtestRe *regexp.Regexp) []DriveSample {
 	targets := dns.ScanSnapshotParallel(speedtestRe, 1)
 	var out []DriveSample
+	var path netsim.PathBuf
 	for s := 0; s <= steps; s++ {
 		loc := geo.Interpolate(from, to, float64(s)/float64(steps))
 		att := modem.Attach(loc)
@@ -39,10 +40,8 @@ func Drive(net *netsim.Network, dns *dnsdb.DB, clock *vclock.Clock, modem *topog
 		for _, tgt := range targets {
 			var best time.Duration
 			for seq := 0; seq < 3; seq++ {
-				r := net.Probe(clock.Now(), netsim.ProbeSpec{
-					Src: att.Host.Addr, Dst: tgt.Addr, TTL: 40,
-					Seq: uint32(seq), FlowID: uint16(seq),
-				})
+				flow := net.CompileFlowInto(&path, att.Host.Addr, tgt.Addr, uint16(seq))
+				r := flow.Probe(clock.Now(), 40, netsim.ICMPEcho, uint32(seq))
 				if r.Type != netsim.EchoReply {
 					continue
 				}

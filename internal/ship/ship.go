@@ -178,11 +178,10 @@ func (c *Campaign) round(loc geo.Point) Round {
 	}
 	if c.Server.IsValid() {
 		best := time.Duration(0)
+		var path netsim.PathBuf
 		for seq := 0; seq < 4; seq++ {
-			reply := c.Net.Probe(c.Clock.Now(), netsim.ProbeSpec{
-				Src: att.Host.Addr, Dst: c.Server, TTL: 40,
-				Seq: uint32(seq), FlowID: uint16(seq),
-			})
+			flow := c.Net.CompileFlowInto(&path, att.Host.Addr, c.Server, uint16(seq))
+			reply := flow.Probe(c.Clock.Now(), 40, netsim.ICMPEcho, uint32(seq))
 			r.Stats.Observe(reply.Type != netsim.Timeout,
 				reply.Outcome() == netsim.OutcomeRateLimited, false)
 			if reply.Type != netsim.EchoReply {
