@@ -5,18 +5,20 @@
 # the campaign that drives them in parallel), the fault-plane gates
 # (fast-path equivalence, zero-fault golden equivalence, and the
 # graceful-degradation chaos sweep), the crash-safety gate (the
-# kill/resume grid plus the chaossweep -kill-after smoke) and the
+# kill/resume grid plus the chaossweep -kill-after smoke), the
 # supervised-daemon race gate (race-regiond), the FIB differential gate
-# (fib-diff), the allocation gate (bench-mem), which fails on a >10%
-# bytes_per_op regression against the previous PR's benchmark archive,
-# and the anti-superlinear scaling gate (bench-scale), which fails when
-# a 10x topology costs more than 18x the paper-size wall time.
+# (fib-diff) and the decoder fuzz smokes. The scale gate is a plain test
+# inside `make test`: internal/core's TestCountedWorkScales runs the
+# comcast campaign resident and windowed at 1x, 3x and 10x and fails
+# when a deterministic work counter grows faster than 1.2x the topology
+# or a windowed run retains too much of what the resident run retains.
+# Wall time is judged by the repo benchmark (perfbench/, BENCHMARK.json).
 
 GO ?= go
 
-.PHONY: verify build test fmt vet perfbench race race-infer race-regiond equivalence chaos crash fib-diff bench bench-mem bench-sched bench-diff bench-scale bench-window fuzz-seg fuzz-lookup serve-bench profile clean
+.PHONY: verify build test fmt vet perfbench race race-infer race-regiond equivalence chaos crash fib-diff fuzz-seg fuzz-lookup profile clean
 
-verify: fmt vet build test perfbench race race-infer race-regiond equivalence chaos crash fib-diff fuzz-seg fuzz-lookup bench-mem serve-bench bench-scale bench-window
+verify: fmt vet build test perfbench race race-infer race-regiond equivalence chaos crash fib-diff fuzz-seg fuzz-lookup
 
 build:
 	$(GO) build ./...
@@ -107,33 +109,6 @@ crash:
 fib-diff:
 	$(GO) test ./internal/netsim/ -run 'TestTrieFIBMatchesMaskedReference|TestTrieFIBNetworkIntegration|FuzzTrieFIBDifferential' -count=1
 
-# Anti-superlinear scaling gate: run the end-to-end cable campaign at
-# 1x/3x/10x topology scale (10x = 340 regions, >1M allocated subscriber
-# addresses across both operators), archive the curve as BENCH_SCALE.json,
-# and fail when the 10x/1x wall-time ratio exceeds 18 (a quadratic term
-# in any stage pushes it past 40). -benchtime 1x: each scale point is a
-# full campaign, one run each is the measurement — which makes the
-# ratio noisy on a shared box (the 10x run is memory-bound and gains
-# less from an idle machine than the CPU-bound 1x denominator, so the
-# same code measures anywhere from 12.8x to 15.5x across a day). The
-# limit leaves ~30% headroom over the ~13.8x measured back-to-back
-# against the PR 7 baseline; it exists to catch quadratic blowups, not
-# 10% drift.
-bench-scale:
-	$(GO) test ./internal/core/ -run XXX -bench BenchmarkScaleCampaign \
-		-benchmem -benchtime 1x -timeout 30m \
-		| $(GO) run ./cmd/benchjson -scale-gate 18 > BENCH_SCALE.json
-
-# Streaming-engine memory gate: the 10x campaign through shrinking
-# trace windows against the 1x and 10x resident anchors, archived as
-# BENCH_WINDOW.json. benchjson -mem-ceiling 3 fails when the smallest
-# windowed 10x run allocates more than 3x the 1x resident baseline per
-# op — windowed memory must track the window, not the campaign.
-bench-window:
-	$(GO) test ./internal/core/ -run XXX -bench BenchmarkWindowedCampaign \
-		-benchmem -benchtime 1x -timeout 30m \
-		| $(GO) run ./cmd/benchjson -mem-ceiling 3 > BENCH_WINDOW.json
-
 # Segment-decoder fuzz smoke: five seconds of coverage-guided mutation
 # over the spill-log frames. The decoder must reject arbitrary
 # corruption with its named errors, never a panic or an OOM-sized
@@ -148,48 +123,6 @@ fuzz-seg:
 # API's answer for the normalised query.
 fuzz-lookup:
 	$(GO) test ./cmd/regiond/ -run XXX -fuzz FuzzLookupQuery -fuzztime 5s
-
-# Scheduler speedup: the quickstart campaign at 1 vs N workers.
-bench-sched:
-	$(GO) test ./internal/probesched/ -run XXX -bench BenchmarkParallelCampaign -benchtime 3x
-
-# Campaign benchmarks, archived as JSON for before/after diffs (see
-# EXPERIMENTS.md): the end-to-end campaign plus its collection and
-# inference halves across the workers={1,2,4,8} grid, and the faulted
-# campaign across the loss grid (benchjson archives the loss rate).
-bench:
-	( $(GO) test ./internal/netsim/ -run XXX -bench 'BenchmarkProbe' -benchmem ; \
-	  $(GO) test ./internal/probesched/ -run XXX \
-		-bench 'BenchmarkParallelCampaign|BenchmarkCampaignCollect|BenchmarkCampaignInfer|BenchmarkFaultedCampaign' \
-		-benchmem -benchtime 3x ) \
-		| $(GO) run ./cmd/benchjson > BENCH_PR5.json
-
-# Allocation gate: rerun the campaign bench with -benchmem, archive the
-# numbers, and fail if any benchmark's bytes_per_op regressed more than
-# 10% against the previous PR's archive (benchjson -prev exits nonzero
-# on regression). This is what keeps the memory-engine wins from
-# quietly eroding. Writes its own archive (BENCH_MEM.json) so it never
-# clobbers the full `make bench` archive.
-bench-mem:
-	$(GO) test ./internal/probesched/ -run XXX \
-		-bench 'BenchmarkParallelCampaign' -benchmem -benchtime 3x \
-		| $(GO) run ./cmd/benchjson -prev BENCH_PR4.json > BENCH_MEM.json
-
-# Per-benchmark time/bytes/allocs comparison of the current archive
-# over the previous PR's.
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff BENCH_PR4.json BENCH_PR5.json
-
-# Resident-service bench: the regiond load generator hammers the
-# snapshot store from 10k concurrent clients while three background
-# refreshes swap the artifact, and benchjson archives the per-op
-# mean/p50/p99 latencies and throughput (the p50_ns/p99_ns/qps pairs
-# land in each entry's extra-metrics map) as BENCH_SERVE.json. The race
-# half of the same guarantee — no torn snapshot is ever observable —
-# runs under `make race` via internal/snapshot's swap test.
-serve-bench:
-	$(GO) run ./cmd/regiond -loadgen -clients 10000 -duration 2s -swaps 3 \
-		| $(GO) run ./cmd/benchjson > BENCH_SERVE.json
 
 # CPU+heap profiles of a full campaign run, ready for `go tool pprof`.
 profile:

@@ -30,14 +30,6 @@
 //
 //	regiond [-listen ADDR] [-study cable] [-seed N] [-refresh DUR]
 //	        [-loss RATE] [-icmp-rate N] [-retries N] [-budget N]
-//
-//	regiond -loadgen [-clients N] [-duration DUR] [-swaps N]
-//
-// With -loadgen no listener starts: the in-process load generator
-// hammers the snapshot store from -clients concurrent goroutines while
-// -swaps background refreshes rotate the artifact, then reports per-op
-// p50/p99 latency in `go test -bench` format so `make serve-bench` can
-// archive it through cmd/benchjson (BENCH_PR6.json).
 package main
 
 import (
@@ -61,10 +53,6 @@ func main() {
 	study := flag.String("study", "cable", "registered study to run and serve (see core.StudyNames)")
 	listen := flag.String("listen", "127.0.0.1:8714", "HTTP listen address")
 	refresh := flag.Duration("refresh", 0, "re-run the campaign and swap in a fresh snapshot at this interval (0 = serve the boot snapshot forever)")
-	loadgen := flag.Bool("loadgen", false, "run the in-process load generator instead of serving HTTP")
-	clients := flag.Int("clients", 10000, "with -loadgen: concurrent client goroutines")
-	duration := flag.Duration("duration", 2*time.Second, "with -loadgen: how long the clients hammer")
-	swaps := flag.Int("swaps", 3, "with -loadgen: background snapshot refreshes performed during the run")
 	cfg.BindParallel(flag.CommandLine)
 	cfg.BindBudget(flag.CommandLine)
 	cfg.BindLoss(flag.CommandLine)
@@ -95,14 +83,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "regiond: snapshot v1 ready for %v in %v\n",
 		svc.isps, time.Since(start).Round(time.Millisecond))
-
-	if *loadgen {
-		if err := runLoadgen(svc, *clients, *duration, *swaps, cfg.ScaleTag()); err != nil {
-			fmt.Fprintln(os.Stderr, "regiond:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *refresh > 0 {
 		logf := func(format string, args ...any) {

@@ -1,16 +1,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/comap"
+	"repro/internal/core"
 	"repro/internal/snapshot"
 	"repro/internal/topogen"
 	"repro/internal/vclock"
@@ -159,62 +159,27 @@ func TestEndpointsServeSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecompileSwapsVersion: a recompile republishes every operator at
-// the next version, and queries see the new artifact.
+// TestRecompileSwapsVersion: a refresh re-runs the study, recompiles
+// every operator's snapshot, and republishes it at the next version;
+// queries see the new artifact.
 func TestRecompileSwapsVersion(t *testing.T) {
-	svc := quickstartService(t)
+	svc := newService("cable", 7, []core.Option{core.WithProbeBudget(2000)})
+	ctx := context.Background()
+	if err := svc.bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
 	h := svc.handler()
-	if err := svc.recompile(); err != nil {
-		t.Fatal(err)
-	}
-	var stats snapshot.Stats
-	getJSON(t, h, "/v1/stats", &stats)
-	if stats.Version != 2 {
-		t.Errorf("stats.Version = %d after recompile, want 2", stats.Version)
-	}
-	if !svc.stores["comcast"].Load().Consistent() {
-		t.Error("recompiled snapshot inconsistent")
-	}
-}
-
-// captureStdout runs fn with os.Stdout redirected to a pipe and
-// returns what it printed.
-func captureStdout(t *testing.T, fn func()) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
-	done := make(chan string)
-	go func() {
-		var sb strings.Builder
-		io.Copy(&sb, r)
-		done <- sb.String()
-	}()
-	fn()
-	w.Close()
-	return <-done
-}
-
-// TestLoadgenSmoke exercises the harness end to end at a tiny scale:
-// the bench lines must appear and the store must finish at version
-// 1+swaps.
-func TestLoadgenSmoke(t *testing.T) {
-	svc := quickstartService(t)
-	out := captureStdout(t, func() {
-		if err := runLoadgen(svc, 32, 200_000_000, 2, "/scale=1x"); err != nil {
-			t.Error(err)
+	for _, isp := range svc.isps {
+		var stats snapshot.Stats
+		getJSON(t, h, "/v1/stats?isp="+isp, &stats)
+		if stats.Version != 2 {
+			t.Errorf("%s stats.Version = %d after refresh, want 2", isp, stats.Version)
 		}
-	})
-	for _, want := range []string{"BenchmarkServeLookupAddr", "BenchmarkServeLookupRange", "BenchmarkServeAll/clients=32/scale=1x", "p50_ns", "p99_ns", "qps"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("loadgen output missing %q:\n%s", want, out)
+		if !svc.stores[isp].Load().Consistent() {
+			t.Errorf("%s refreshed snapshot inconsistent", isp)
 		}
-	}
-	if v := svc.stores["comcast"].Version(); v != 3 {
-		t.Errorf("store version after 2 swaps = %d, want 3", v)
 	}
 }

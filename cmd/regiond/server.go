@@ -81,7 +81,7 @@ func (s *service) compile(isp string) error {
 
 // bootstrap runs the study once, creates the per-operator stores, and
 // publishes version 1 of each snapshot. It must complete before the
-// listener (or loadgen) starts: it is the only writer of the maps.
+// listener starts: it is the only writer of the maps.
 func (s *service) bootstrap(ctx context.Context) error {
 	isps, results, err := s.runStudy(ctx)
 	if err != nil {
@@ -151,20 +151,6 @@ func (s *service) refresh(ctx context.Context) error {
 	published = true
 	s.results = results
 	s.releaseSpill()
-	return nil
-}
-
-// recompile rebuilds every operator's snapshot from the retained study
-// results — a full artifact compile (interning, columns, LPM tables),
-// not a re-measurement — and swaps each in. The loadgen writer uses
-// this so its refresh cadence is bounded by compile time, not campaign
-// time.
-func (s *service) recompile() error {
-	for _, isp := range s.isps {
-		if err := s.compile(isp); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -11,7 +11,6 @@ package cli
 
 import (
 	"flag"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -165,25 +164,6 @@ func (c *Config) ScaleValue() topogen.Scale {
 // Scaled reports whether the run asks for a larger-than-paper topology.
 func (c *Config) Scaled() bool {
 	return !c.ScaleValue().IsZero()
-}
-
-// ScaleTag renders the requested scale as a benchmark-name suffix
-// ("" at paper size, "/scale=10x" for -regions 10, with "/subs=N"
-// appended when a subscriber floor is set) so scaled benchmark runs
-// archive under names distinct from the paper-size ones.
-func (c *Config) ScaleTag() string {
-	if !c.Scaled() {
-		return ""
-	}
-	r := c.Regions
-	if r < 1 {
-		r = 1
-	}
-	tag := fmt.Sprintf("/scale=%dx", r)
-	if c.Subscribers > 0 {
-		tag += fmt.Sprintf("/subs=%d", c.Subscribers)
-	}
-	return tag
 }
 
 // Faulted reports whether any degraded-plane knob is set — the cmds

@@ -3,6 +3,8 @@ package cli_test
 import (
 	"errors"
 	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -107,6 +109,11 @@ func TestExtraOptionsAppend(t *testing.T) {
 // must reach core.NewStudy and be rejected there, with a named error,
 // before any topology is built.
 func TestStudyRejectsDroppedOrContradictoryFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -115,6 +122,8 @@ func TestStudyRejectsDroppedOrContradictoryFlags(t *testing.T) {
 		{"durable spill without window", []string{"-durable", "-spill-dir", "d"}, core.ErrDurableNeedsWindow},
 		{"durable window without spill dir", []string{"-durable", "-trace-window", "64"}, core.ErrDurableNeedsSpillDir},
 		{"spill dir without window", []string{"-spill-dir", "d"}, core.ErrSpillDirNeedsWindow},
+		{"missing spill dir", []string{"-trace-window", "64", "-spill-dir", missing}, core.ErrSpillDirMissing},
+		{"spill dir is a file", []string{"-trace-window", "64", "-spill-dir", file}, core.ErrSpillDirMissing},
 		{"negative window", []string{"-trace-window", "-1"}, core.ErrNegativeTraceWindow},
 		{"negative loss", []string{"-loss", "-0.1"}, core.ErrFaultRate},
 		{"loss above one", []string{"-loss", "1.5"}, core.ErrFaultRate},

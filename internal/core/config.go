@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/netsim"
@@ -154,13 +155,14 @@ var (
 	ErrSpillDirNeedsWindow  = fmt.Errorf("%w: a spill dir requires a trace window", ErrInvalidConfig)
 	ErrDurableNeedsWindow   = fmt.Errorf("%w: durable spill requires a trace window", ErrInvalidConfig)
 	ErrDurableNeedsSpillDir = fmt.Errorf("%w: durable spill requires an explicit spill dir", ErrInvalidConfig)
+	ErrSpillDirMissing      = fmt.Errorf("%w: spill dir does not exist or is not a directory", ErrInvalidConfig)
 	ErrFaultRate            = fmt.Errorf("%w: link loss must lie in [0,1] and the ICMP rate must not be negative", ErrInvalidConfig)
 )
 
 // validate rejects option combinations that would otherwise be silently
 // dropped (a spill dir or durability without windowing), crash deep in
-// a campaign (durability without a spill dir), or feed the fault plane
-// meaningless rates.
+// a campaign (durability without a spill dir, a spill dir that is not
+// a directory), or feed the fault plane meaningless rates.
 func (c Config) validate() error {
 	switch {
 	case c.TraceWindow < 0:
@@ -171,10 +173,17 @@ func (c Config) validate() error {
 		return ErrDurableNeedsSpillDir
 	case c.SpillDir != "" && c.TraceWindow == 0:
 		return ErrSpillDirNeedsWindow
+	case c.SpillDir != "" && !isDir(c.SpillDir):
+		return fmt.Errorf("%w: %s", ErrSpillDirMissing, c.SpillDir)
 	case c.Faults != nil && (c.Faults.LinkLoss < 0 || c.Faults.LinkLoss > 1 || c.Faults.ICMPRate < 0):
 		return ErrFaultRate
 	}
 	return nil
+}
+
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
 }
 
 // installFaults applies the WithFaults plan (if any) to a freshly-built

@@ -92,8 +92,7 @@ func BenchmarkCampaignInfer(b *testing.B) {
 
 // BenchmarkFaultedCampaign runs the quickstart campaign through an
 // increasingly lossy measurement plane with retries enabled, at
-// GOMAXPROCS workers. The loss rate is encoded in the sub-benchmark
-// name so benchjson archives it (the "loss" field): the cost of
+// GOMAXPROCS workers, one sub-benchmark per loss rate: the cost of
 // resilience shows up as extra probes per campaign, not extra cost per
 // probe.
 func BenchmarkFaultedCampaign(b *testing.B) {

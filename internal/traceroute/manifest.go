@@ -16,6 +16,7 @@
 package traceroute
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,12 +140,80 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 }
 
 // encodeManifest is the inverse of DecodeManifest; indented so stray
-// manifests are debuggable by eye.
+// manifests are debuggable by eye. manifestEncoder produces the same
+// bytes without re-encoding every record.
 func encodeManifest(m *Manifest) []byte {
-	data, err := json.MarshalIndent(m, "", "  ")
+	return append(marshalIndent(m, ""), '\n')
+}
+
+func marshalIndent(v any, prefix string) []byte {
+	data, err := json.MarshalIndent(v, prefix, "  ")
 	if err != nil {
 		// Manifest is plain data; MarshalIndent cannot fail on it.
 		panic(fmt.Sprintf("traceroute: manifest encode: %v", err))
 	}
-	return append(data, '\n')
+	return data
+}
+
+// manifestEncoder renders encodeManifest's bytes for a manifest whose
+// Segments and Checkpoints only grow. A durable log republishes its
+// manifest after every sealed window and checkpoint, so re-encoding
+// every record each time made a log's manifest cost quadratic in its
+// window count. The encoder instead encodes each record once, the
+// first time it sees it, and splices the stored bytes into the
+// encoding of the manifest's scalar fields.
+type manifestEncoder struct {
+	segs, cps [][]byte
+	buf       []byte
+}
+
+// encode returns the manifest's encoding, valid until the next call.
+func (e *manifestEncoder) encode(m *Manifest) []byte {
+	e.segs = encodeNew(e.segs, m.Segments)
+	e.cps = encodeNew(e.cps, m.Checkpoints)
+	shell := *m
+	shell.Segments, shell.Checkpoints = nil, nil
+	rest := encodeManifest(&shell)
+	out := e.buf[:0]
+	for _, list := range []struct {
+		key   string
+		isNil bool
+		elems [][]byte
+	}{
+		{"\n  \"segments\": ", m.Segments == nil, e.segs},
+		{"\n  \"checkpoints\": ", m.Checkpoints == nil, e.cps},
+	} {
+		// A newline cannot occur unescaped inside a JSON string, so
+		// the key is found at its structural position.
+		i := bytes.Index(rest, []byte(list.key)) + len(list.key)
+		out = append(out, rest[:i]...)
+		rest = rest[i+len("null"):]
+		switch {
+		case list.isNil:
+			out = append(out, "null"...)
+		case len(list.elems) == 0:
+			out = append(out, "[]"...)
+		default:
+			out = append(out, '[')
+			for j, el := range list.elems {
+				if j > 0 {
+					out = append(out, ',')
+				}
+				out = append(out, "\n    "...)
+				out = append(out, el...)
+			}
+			out = append(out, "\n  ]"...)
+		}
+	}
+	e.buf = append(out, rest...)
+	return e.buf
+}
+
+// encodeNew extends enc, the encodings of a prefix of elems, to cover
+// all of elems, each indented as an element of a top-level array.
+func encodeNew[T any](enc [][]byte, elems []T) [][]byte {
+	for _, v := range elems[len(enc):] {
+		enc = append(enc, marshalIndent(v, "    "))
+	}
+	return enc
 }

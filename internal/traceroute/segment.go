@@ -107,6 +107,7 @@ type SegmentWriter struct {
 	fsys     segfault.FS
 	logPath  string
 	manifest *Manifest
+	menc     manifestEncoder
 	off      int64
 }
 
@@ -190,7 +191,7 @@ func (w *SegmentWriter) writeManifest() error {
 		w.err = err
 		return err
 	}
-	if _, err := f.Write(encodeManifest(w.manifest)); err != nil {
+	if _, err := f.Write(w.menc.encode(w.manifest)); err != nil {
 		f.Close()
 		w.err = err
 		return err

@@ -1,6 +1,7 @@
 package traceroute
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -624,6 +625,9 @@ func FuzzManifestDecode(f *testing.F) {
 		}
 		if rt, err := DecodeManifest(encodeManifest(m)); err != nil || rt == nil {
 			t.Fatalf("accepted manifest failed round-trip: %v", err)
+		}
+		if got := new(manifestEncoder).encode(m); !bytes.Equal(got, encodeManifest(m)) {
+			t.Fatalf("manifest encoder diverged from MarshalIndent:\n%s", got)
 		}
 	})
 }
