@@ -89,13 +89,14 @@ race-regiond:
 
 # Crash-safety gate: the durable spill engine end to end. The grid test
 # kills a durable campaign at the first window seal, mid-campaign, the
-# last window seal, and mid-checkpoint-rename — across window sizes and
-# worker counts — then resumes over the surviving spill directory with a
-# cold simulator and requires bit-identical golden digests. The
-# traceroute tests pin manifest recovery classification (including a
-# decode fuzz corpus), and the segfault tests pin the injected-fault
-# filesystem's crash model itself. The chaossweep smoke exercises the
-# same guarantee through the real CLI binary.
+# last window seal, inside a torn checkpoint record, and at a checkpoint
+# record's fsync — across window sizes and worker counts — then resumes
+# over the surviving spill directory with a cold simulator and requires
+# bit-identical golden digests. The traceroute tests pin the recovery
+# scan's classification of damaged windows and checkpoint records
+# (including a decode-and-recover fuzz corpus), and the segfault tests
+# pin the injected-fault filesystem's crash model itself. The chaossweep
+# smoke exercises the same guarantee through the real CLI binary.
 crash:
 	$(GO) test ./internal/probesched/ -count=1 \
 		-run 'TestDurableCampaignMatchesGoldenDigest|TestDurableKillAndResumeGrid|TestDurableCompleteReplayMatchesGolden'
@@ -112,8 +113,9 @@ fib-diff:
 # Segment-decoder fuzz smoke: five seconds of coverage-guided mutation
 # over the spill-log frames. The decoder must reject arbitrary
 # corruption with its named errors, never a panic or an OOM-sized
-# allocation; the seed corpus covers truncation, CRC damage, and count
-# inflation.
+# allocation, and durable recovery over the same bytes must never panic
+# and keep only windows that decode; the seed corpus covers truncation,
+# CRC damage, count inflation, and durable logs with checkpoint records.
 fuzz-seg:
 	$(GO) test ./internal/traceroute/ -run XXX -fuzz FuzzSegmentDecode -fuzztime 5s
 
@@ -130,9 +132,8 @@ profile:
 	@echo "wrote cpu.out and mem.out; inspect with: $(GO) tool pprof cpu.out"
 
 # Remove run artifacts: profiles, stray spill directories left by
-# interrupted windowed runs (a clean exit removes its own), crash-smoke
-# scratch dirs a failed -kill-after run leaves for inspection, and
-# orphaned manifest temp files from a crash mid-publish.
+# interrupted windowed runs (a clean exit removes its own), and
+# crash-smoke scratch dirs a failed -kill-after run leaves for
+# inspection.
 clean:
 	rm -rf .spill-* .crash-* cpu.out mem.out
-	find . -name '*.manifest.tmp' -delete

@@ -77,10 +77,11 @@ type Campaign struct {
 	// log file itself is cleaned up.
 	SpillDir string
 	// Durable opts the windowed spill into crash-safe mode: every
-	// sealed window is fsynced and indexed in an atomically published
-	// manifest, a cursor checkpoint lands at every flush boundary, and
-	// a campaign restarted over the same SpillDir resumes — re-probing
-	// only the windows the crash lost — with bit-identical results.
+	// sealed window is fsynced, a checkpoint record carrying the cursor
+	// is appended and fsynced at every flush boundary, and a campaign
+	// restarted over the same SpillDir resumes — re-probing only what
+	// the crash lost — with bit-identical results. The log is the only
+	// file the campaign writes.
 	// Requires TraceWindow > 0 and an explicit SpillDir (an owned
 	// temp directory cannot be found again after a crash).
 	Durable bool
@@ -190,10 +191,10 @@ func (c *Campaign) Run() *Collection {
 // sits on batch boundaries only, so cancellation is digest-neutral —
 // whatever a cancelled campaign did probe is exactly the prefix an
 // uninterrupted run would have produced. A cancelled durable campaign
-// leaves its spill log, manifest, and last checkpoint on disk, so the
-// next RunContext over the same SpillDir resumes where it stopped; a
-// cancelled non-durable campaign removes its spill (nothing can use
-// it).
+// leaves its spill log, ending in its last checkpoint record, on disk,
+// so the next RunContext over the same SpillDir resumes where it
+// stopped; a cancelled non-durable campaign removes its spill (nothing
+// can use it).
 func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) {
 	c.defaults()
 	col = &Collection{ids: map[netip.Addr]AddrID{}}
@@ -577,7 +578,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 	}
 	// The archive is complete: seal and close the spill log before the
 	// first replaying pass (findFalsePairs and everything downstream).
-	// Durable campaigns mark the manifest complete first, so a crash
+	// Durable campaigns append the complete record first, so a crash
 	// from here on resumes as a pure replay with no re-collection.
 	if rs != nil {
 		rs.cursor.close()
@@ -589,7 +590,7 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 				panic(fmt.Errorf("comap: encoding resume cursor: %w", merr))
 			}
 			if cerr := writer.MarkComplete(col.nPaths, buf); cerr != nil {
-				panic(fmt.Errorf("comap: completing spill manifest: %w", cerr))
+				panic(fmt.Errorf("comap: completing spill log: %w", cerr))
 			}
 		}
 		if err := writer.Close(); err != nil {

@@ -1,12 +1,12 @@
-// Checkpoint/resume for durable campaigns. A durable campaign
-// checkpoints a cursor into its spill log's manifest at every flush
-// boundary; after a crash, the campaign re-runs its deterministic job
-// generator from the top, and every flush whose checkpoint survived is
-// *skipped* instead of probed — the trace bytes are already durable, so
-// the flush restores the cursor (clock, counters, breaker) and streams
-// the corresponding log windows through the simulator's IP-ID warm-up
-// (netsim.WarmReply) so subsequent live probes observe exactly the
-// counter state the crashed process left behind. The first flush with
+// Checkpoint/resume for durable campaigns. A durable campaign appends
+// a checkpoint record carrying its cursor to its spill log at every
+// flush boundary; after a crash, the campaign re-runs its deterministic
+// job generator from the top, and every flush whose checkpoint survived
+// is *skipped* instead of probed — the trace bytes are already durable,
+// so the flush restores the cursor (clock, counters, breaker) and
+// streams the corresponding log windows through the simulator's IP-ID
+// warm-up (netsim.WarmReply) so subsequent live probes observe exactly
+// the counter state the crashed process left behind. The first flush with
 // no surviving checkpoint probes live, and everything downstream is
 // bit-identical to an uninterrupted run: the resume grid in
 // internal/probesched pins the recovered digests against the golden
@@ -48,9 +48,7 @@ func (c *Campaign) fingerprint() string {
 
 // spillName is the campaign's segment-log file name. Per-ISP names let
 // several campaigns share one caller-provided SpillDir without
-// clobbering each other's durable state. The ".seg" suffix is load-
-// bearing: the fault-injection filesystem (internal/segfault) keys its
-// log-operation counters on it.
+// clobbering each other's durable state.
 func (c *Campaign) spillName() string {
 	if c.ISP == "" {
 		return "traces.seg"
@@ -59,11 +57,11 @@ func (c *Campaign) spillName() string {
 }
 
 // resumeCursor is the JSON checkpoint state a durable campaign writes
-// into the manifest at every flush boundary: everything the flush loop
-// mutates that cannot be reconstructed from the spill log alone. Trace
-// bytes and observed hops replay from the log; the virtual clock, the
-// probe ledgers (dropped traces leave no log entry), and the breaker
-// restore from here.
+// into a checkpoint record at every flush boundary: everything the
+// flush loop mutates that cannot be reconstructed from the spill log
+// alone. Trace bytes and observed hops replay from the log; the virtual
+// clock, the probe ledgers (dropped traces leave no log entry), and the
+// breaker restore from here.
 type resumeCursor struct {
 	// Stage and Flush locate the checkpoint in the generator's
 	// deterministic schedule: Flush is the 1-based count of completed
@@ -87,7 +85,7 @@ type resumeCursor struct {
 	// Stats is the campaign-wide probe-outcome ledger.
 	Stats probesched.ProbeStats `json:"stats"`
 	// Paths is the durable path count, cross-checked against the
-	// manifest checkpoint's own count.
+	// checkpoint record's own count.
 	Paths int `json:"paths"`
 	// Breaker snapshots the circuit breaker: empty traces bump its dead
 	// counts but are never spilled, so it cannot be replayed.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"net/netip"
@@ -77,8 +78,8 @@ func (w *refSegmentWriter) append(tv traceroute.TraceView) {
 }
 
 // seal returns the open segment's framed bytes (length, CRC, payload)
-// and its CRC, and starts the next segment.
-func (w *refSegmentWriter) seal(stage string) ([]byte, uint32) {
+// and starts the next segment.
+func (w *refSegmentWriter) seal(stage string) []byte {
 	prevGlobal := w.global.Len()
 	remap := w.global.Merge(w.local)
 	var head []byte
@@ -95,19 +96,18 @@ func (w *refSegmentWriter) seal(stage string) ([]byte, uint32) {
 		}
 	}
 	payload := append(head, w.body...)
-	crc := crc32.ChecksumIEEE(payload)
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 	frame = append(frame, payload...)
 	w.local = symtab.New(0)
 	w.body = w.body[:0]
 	w.count = 0
-	return frame, crc
+	return frame
 }
 
 // noSyncFS is the real filesystem with fsync skipped: the byte-identity
-// check below seals thousands of durable windows and needs the frames
-// and manifests, not their crash safety.
+// check below seals thousands of durable windows and needs their
+// frames, not their crash safety.
 type noSyncFS struct{ segfault.FS }
 
 type noSyncFile struct{ segfault.File }
@@ -127,8 +127,10 @@ func (fs noSyncFS) OpenAppend(path string) (segfault.File, error) {
 // TestSegmentWriterMatchesInterningReference runs the seed-7 1x
 // comcast campaign durably at two window sizes and re-encodes every
 // sealed window of its spill log with the interning reference encoder:
-// the log bytes must be identical, and so must the manifest's segment
-// records, with every checkpoint on a frame boundary.
+// every window frame must be identical. The checkpoint records between
+// them must sit exactly on flush boundaries — record i after the
+// windows of flush i+1, carrying that flush's cursor — and the log must
+// end in a complete record.
 func TestSegmentWriterMatchesInterningReference(t *testing.T) {
 	s := topogen.NewScenario(7)
 	comcast := s.BuildCable(topogen.ComcastProfile())
@@ -149,6 +151,10 @@ func TestSegmentWriterMatchesInterningReference(t *testing.T) {
 				Durable:     true,
 				SpillFS:     noSyncFS{segfault.OS},
 			}
+			// The fingerprint RunContext stamps: defaults applied, clock
+			// still at the epoch (it moves during the run).
+			c.defaults()
+			fp := c.fingerprint()
 			col, err := c.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -159,14 +165,16 @@ func TestSegmentWriterMatchesInterningReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mdata, err := os.ReadFile(traceroute.ManifestPath(logPath))
+			// Recovery over the finished log lists its checkpoint records
+			// and leaves the complete log as it is.
+			w, res, err := traceroute.OpenDurableSegmentLog(logPath, fp, segfault.OS)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := traceroute.DecodeManifest(mdata)
-			if err != nil {
-				t.Fatal(err)
+			if w != nil || !res.Complete {
+				t.Fatalf("finished log does not recover as complete: %+v", res)
 			}
+			cps := res.Checkpoints
 
 			r, err := traceroute.OpenSegmentLog(logPath)
 			if err != nil {
@@ -174,11 +182,22 @@ func TestSegmentWriterMatchesInterningReference(t *testing.T) {
 			}
 			defer r.Close()
 			ref := newRefSegmentWriter()
-			want := append([]byte(nil), got[:8]...) // header
-			var records []traceroute.SegmentRecord
-			boundary := map[int64]bool{}
+			off, windows, paths, ci := 8, 0, 0, 0
+			// skipRecords steps over the checkpoint records at off, checking
+			// each is the next one recovery listed and covers exactly the
+			// paths the windows before it hold.
+			skipRecords := func() {
+				for ci < len(cps) && cps[ci].Offset == int64(off) {
+					if cps[ci].Paths != paths {
+						t.Fatalf("checkpoint %d at offset %d records %d paths, the windows before it hold %d", ci, off, cps[ci].Paths, paths)
+					}
+					off += 8 + int(binary.LittleEndian.Uint32(got[off:]))
+					ci++
+				}
+			}
 			var seg traceroute.Segment
 			for {
+				skipRecords()
 				ok, err := r.Next(&seg)
 				if err != nil {
 					t.Fatal(err)
@@ -189,39 +208,33 @@ func TestSegmentWriterMatchesInterningReference(t *testing.T) {
 				for i := 0; i < seg.NumTraces(); i++ {
 					ref.append(seg.View(i))
 				}
-				frame, crc := ref.seal(seg.Stage)
-				off := int64(len(want))
-				if !bytes.Equal(frame, got[off:min(len(got), int(off)+len(frame))]) {
-					t.Fatalf("window %d (stage %s, %d traces) at offset %d differs from the interning reference", len(records), seg.Stage, seg.NumTraces(), off)
+				frame := ref.seal(seg.Stage)
+				if !bytes.Equal(frame, got[off:min(len(got), off+len(frame))]) {
+					t.Fatalf("window %d (stage %s, %d traces) at offset %d differs from the interning reference", windows, seg.Stage, seg.NumTraces(), off)
 				}
-				want = append(want, frame...)
-				records = append(records, traceroute.SegmentRecord{
-					Offset: off, Length: int64(len(frame)), CRC: crc, Stage: seg.Stage, Traces: seg.NumTraces(),
-				})
-				boundary[int64(len(want))] = true
+				off += len(frame)
+				windows++
+				paths += seg.NumTraces()
 			}
-			if len(records) < 2 {
-				t.Fatalf("campaign sealed %d windows; the check needs several", len(records))
+			if windows < 2 {
+				t.Fatalf("campaign sealed %d windows; the check needs several", windows)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("log is %d bytes, the interning reference %d", len(got), len(want))
+			if off != len(got) || ci != len(cps) || res.Windows != windows {
+				t.Fatalf("log is %d bytes with %d windows and %d checkpoint records; the walk matched %d bytes, %d windows, %d records",
+					len(got), res.Windows, len(cps), off, windows, ci)
 			}
-			if len(m.Segments) != len(records) {
-				t.Fatalf("manifest records %d windows, log holds %d", len(m.Segments), len(records))
-			}
-			for i, rec := range records {
-				if m.Segments[i] != rec {
-					t.Fatalf("manifest window %d = %+v, reference %+v", i, m.Segments[i], rec)
+			// Records are flush boundaries: record i carries flush i+1's
+			// cursor, and the final complete record repeats the last one.
+			for i, cp := range cps {
+				var cur resumeCursor
+				if err := json.Unmarshal(cp.State, &cur); err != nil {
+					t.Fatalf("checkpoint %d state: %v", i, err)
 				}
-			}
-			if !m.Complete || len(m.Checkpoints) == 0 || m.Checkpoints[len(m.Checkpoints)-1].Offset != int64(len(want)) {
-				t.Fatalf("manifest does not end complete at the log's end (%d bytes): complete=%v, %d checkpoints", len(want), m.Complete, len(m.Checkpoints))
-			}
-			for i, cp := range m.Checkpoints {
-				if !boundary[cp.Offset] {
-					t.Fatalf("checkpoint %d at offset %d is not on a frame boundary", i, cp.Offset)
+				if want := min(i+1, len(cps)-1); cur.Flush != want || cur.Paths != cp.Paths {
+					t.Fatalf("checkpoint %d carries flush %d with %d paths, want flush %d with %d", i, cur.Flush, cur.Paths, want, cp.Paths)
 				}
 			}
+			t.Logf("log: %d bytes, %d windows, %d checkpoint records", len(got), windows, len(cps))
 		})
 	}
 }

@@ -201,9 +201,9 @@ func newSpillArchive(dir, name string) (*spillArchive, error) {
 	return sp, nil
 }
 
-// Close removes the spill files (and the directory, when owned). The
-// log's durable manifest, when one exists, goes with it: Close means
-// the campaign was consumed, so the crash-recovery state is garbage.
+// Close removes the spill log (and the directory, when owned). A
+// durable log's checkpoint records go with it: Close means the
+// campaign was consumed, so the crash-recovery state is garbage.
 func (sp *spillArchive) Close() error {
 	if sp == nil {
 		return nil
@@ -211,14 +211,7 @@ func (sp *spillArchive) Close() error {
 	if sp.ownsDir {
 		return os.RemoveAll(sp.dir)
 	}
-	err := os.Remove(sp.logPath)
-	mp := traceroute.ManifestPath(sp.logPath)
-	for _, p := range []string{mp, mp + ".tmp"} {
-		if rmErr := os.Remove(p); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
-			err = rmErr
-		}
-	}
-	return err
+	return os.Remove(sp.logPath)
 }
 
 // windowPairs recycles the two decode buffers a replay alternates

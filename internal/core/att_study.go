@@ -7,6 +7,7 @@ import (
 	"repro/internal/attmap"
 	"repro/internal/metrics"
 	"repro/internal/topogen"
+	"repro/internal/vclock"
 )
 
 // ATTStudy is the §6 case study: the AT&T-like telco mapped from
@@ -23,6 +24,7 @@ type ATTStudy struct {
 	BootstrapVPs []netip.Addr
 
 	cfg    Config
+	err    error // cfg's validate verdict: non-nil refuses the campaign
 	seed   int64
 	result *attmap.Result
 }
@@ -31,12 +33,14 @@ type ATTStudy struct {
 const DetailRegion = "sd2ca"
 
 // NewATTStudy builds the AT&T scenario and its vantage points. Options
-// configure parallelism and the clock origin; with no options the study
-// behaves exactly as it always has.
+// configure parallelism and resilience; with no options the study
+// behaves exactly as it always has. Invalid options do not stop the
+// build: Run and Result report them instead.
 func NewATTStudy(seed int64, opts ...Option) *ATTStudy {
+	cfg, err := buildConfig(opts)
 	s := topogen.NewScenario(seed)
 	tel := s.BuildTelco(topogen.ATTProfile())
-	st := &ATTStudy{Scenario: s, Telco: tel, cfg: buildConfig(opts), seed: seed}
+	st := &ATTStudy{Scenario: s, Telco: tel, cfg: cfg, err: err, seed: seed}
 	st.cfg.installFaults(s.Net)
 	for i, tag := range []string{"la2ca", "bkfdca", "frsnca", "sffca", "scrmca"} {
 		st.BootstrapVPs = append(st.BootstrapVPs, s.AddTelcoVP(tel, tag, i).Addr)
@@ -57,7 +61,7 @@ func (st *ATTStudy) campaign() *attmap.Campaign {
 	return &attmap.Campaign{
 		Net:          st.Scenario.Net,
 		DNS:          st.Scenario.DNS,
-		Clock:        st.cfg.clock(st.Scenario.Epoch()),
+		Clock:        vclock.New(st.Scenario.Epoch()),
 		ISP:          "att",
 		BootstrapVPs: st.BootstrapVPs,
 		RegionVPs: map[string][]netip.Addr{
@@ -68,8 +72,12 @@ func (st *ATTStudy) campaign() *attmap.Campaign {
 	}
 }
 
-// Result runs (once) and returns the inference.
+// Result runs (once) and returns the inference. It panics with the
+// study's ErrInvalidConfig error when its options were rejected.
 func (st *ATTStudy) Result() *attmap.Result {
+	if st.err != nil {
+		panic(st.err)
+	}
 	if st.result == nil {
 		st.result = st.campaign().Run()
 	}

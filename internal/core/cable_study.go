@@ -11,6 +11,7 @@ import (
 	"repro/internal/comap"
 	"repro/internal/metrics"
 	"repro/internal/topogen"
+	"repro/internal/vclock"
 )
 
 // sortedRegions returns the region names in sorted order so figures
@@ -43,16 +44,18 @@ type CableStudy struct {
 	VPs      []netip.Addr
 
 	cfg     Config
+	err     error // cfg's validate verdict: non-nil refuses every campaign
 	seed    int64
 	results map[string]*comap.Result
 }
 
 // NewCableStudy builds the scenario (both operators, clouds, VPs) for a
 // seed. The measurement campaigns run lazily per operator. Options
-// configure parallelism, probe budget, and the clock origin; with no
-// options the study behaves exactly as it always has.
+// configure parallelism, probe budget, and windowing; with no options
+// the study behaves exactly as it always has. Invalid options do not
+// stop the build: Run, Result and ResultContext report them instead.
 func NewCableStudy(seed int64, opts ...Option) *CableStudy {
-	cfg := buildConfig(opts)
+	cfg, err := buildConfig(opts)
 	s := topogen.NewScenario(seed)
 	comcast := s.BuildCable(topogen.ComcastProfile().Scaled(cfg.Scale))
 	charter := s.BuildCable(topogen.CharterProfile().Scaled(cfg.Scale))
@@ -64,6 +67,7 @@ func NewCableStudy(seed int64, opts ...Option) *CableStudy {
 		Charter:  charter,
 		VPs:      vps,
 		cfg:      cfg,
+		err:      err,
 		seed:     seed,
 		results:  map[string]*comap.Result{},
 	}
@@ -77,7 +81,8 @@ func (st *CableStudy) truth(isp string) *topogen.ISP {
 }
 
 // Result runs (once) and returns the full pipeline output for an
-// operator ("comcast" or "charter").
+// operator ("comcast" or "charter"). It panics with ResultContext's
+// error, which wraps ErrInvalidConfig when the options were rejected.
 func (st *CableStudy) Result(isp string) *comap.Result {
 	r, err := st.ResultContext(context.Background(), isp)
 	if err != nil {
@@ -97,13 +102,16 @@ func (st *CableStudy) Result(isp string) *comap.Result {
 // Study.Run and the cmd drivers do): completed campaigns replay from
 // their logs, warming the shared counters the next campaign reads.
 func (st *CableStudy) ResultContext(ctx context.Context, isp string) (*comap.Result, error) {
+	if st.err != nil {
+		return nil, st.err
+	}
 	if r, ok := st.results[isp]; ok {
 		return r, nil
 	}
 	c := &comap.Campaign{
 		Net:         st.Scenario.Net,
 		DNS:         st.Scenario.DNS,
-		Clock:       st.cfg.clock(st.Scenario.Epoch()),
+		Clock:       vclock.New(st.Scenario.Epoch()),
 		ISP:         isp,
 		Seed:        st.seed,
 		VPs:         st.VPs,
@@ -316,7 +324,7 @@ func (st *CableStudy) cloudStudy(pings int) *cloudlat.Study {
 	}
 	return &cloudlat.Study{
 		Net:         st.Scenario.Net,
-		Clock:       st.cfg.clock(st.Scenario.Epoch()),
+		Clock:       vclock.New(st.Scenario.Epoch()),
 		VMs:         vms,
 		Pings:       pings,
 		Parallelism: st.cfg.Parallelism,

@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/probesched"
 	"repro/internal/segfault"
 	"repro/internal/topogen"
-	"repro/internal/vclock"
 )
 
 // Config carries the study knobs shared by every case study. Studies
@@ -28,9 +26,6 @@ type Config struct {
 	// ProbeBudget caps the total traceroutes a campaign may submit
 	// (0 = unlimited). Only the cable campaign currently enforces it.
 	ProbeBudget int
-	// Start overrides the campaign clocks' origin instant; the zero
-	// value keeps the scenario epoch.
-	Start time.Time
 	// Faults, when non-nil, is installed on the scenario network after
 	// it is built: every campaign the study runs measures through the
 	// faulted plane. nil (the default) leaves the network pristine.
@@ -53,10 +48,10 @@ type Config struct {
 	// the result is closed.
 	SpillDir string
 	// Durable makes windowed campaigns crash-safe: sealed windows are
-	// fsynced and indexed in a manifest, cursors checkpoint at every
-	// flush boundary, and a study restarted over the same SpillDir
-	// resumes — bit-identical to an uninterrupted run. Requires
-	// TraceWindow and an explicit SpillDir.
+	// fsynced, cursors checkpoint into the same log at every flush
+	// boundary, and a study restarted over the same SpillDir resumes —
+	// bit-identical to an uninterrupted run. Each campaign keeps one
+	// file, its log. Requires TraceWindow and an explicit SpillDir.
 	Durable bool
 	// SpillFS is the filesystem seam durable spill I/O goes through;
 	// nil selects the real OS. Crash tests inject fault plans here.
@@ -77,13 +72,6 @@ func WithParallelism(n int) Option {
 // WithProbeBudget caps the total traceroutes a campaign may submit.
 func WithProbeBudget(n int) Option {
 	return func(c *Config) { c.ProbeBudget = n }
-}
-
-// WithClock starts the campaigns' virtual clocks at the given instant
-// instead of the scenario epoch. Useful for replaying a campaign at a
-// different virtual time (IP-ID velocities are time-dependent).
-func WithClock(start time.Time) Option {
-	return func(c *Config) { c.Start = start }
 }
 
 // WithFaults installs a fault plan on the study's network: link loss,
@@ -124,8 +112,8 @@ func WithSpillDir(dir string) Option {
 	return func(c *Config) { c.SpillDir = dir }
 }
 
-// WithDurable opts windowed campaigns into crash-safe spill: durable
-// window logs with manifests and flush-boundary checkpoints, resumed
+// WithDurable opts windowed campaigns into crash-safe spill: fsynced
+// window logs with a checkpoint record at every flush boundary, resumed
 // automatically (and bit-identically) by the next run over the same
 // SpillDir. Use with WithTraceWindow and WithSpillDir.
 func WithDurable() Option {
@@ -138,17 +126,21 @@ func WithSpillFS(fsys segfault.FS) Option {
 	return func(c *Config) { c.SpillFS = fsys }
 }
 
-func buildConfig(opts []Option) Config {
+// buildConfig applies opts and returns the config with its validate
+// verdict.
+func buildConfig(opts []Option) (Config, error) {
 	var c Config
 	for _, o := range opts {
 		o(&c)
 	}
-	return c
+	return c, c.validate()
 }
 
-// Option combinations NewStudy rejects before building anything. Each
-// wraps ErrInvalidConfig, so callers can tell a usage error from a
-// failed run with one errors.Is.
+// Option combinations the studies reject. NewStudy returns the error
+// before building anything; a study built directly keeps it, and its
+// Run and Result methods return (or panic with) it before starting a
+// campaign. Each wraps ErrInvalidConfig, so callers can tell a usage
+// error from a failed run with one errors.Is.
 var (
 	ErrInvalidConfig        = errors.New("core: invalid study config")
 	ErrNegativeTraceWindow  = fmt.Errorf("%w: trace window must not be negative", ErrInvalidConfig)
@@ -193,14 +185,4 @@ func (c Config) installFaults(n *netsim.Network) {
 	if c.Faults != nil {
 		n.SetFaultPlan(*c.Faults)
 	}
-}
-
-// clock builds a campaign clock honoring the WithClock override, with
-// the scenario epoch as the default origin.
-func (c Config) clock(epoch time.Time) *vclock.Clock {
-	start := c.Start
-	if start.IsZero() {
-		start = epoch
-	}
-	return vclock.New(start)
 }

@@ -26,6 +26,7 @@ type MobileStudy struct {
 	Server  netip.Addr
 
 	cfg      Config
+	err      error // cfg's validate verdict: non-nil refuses every campaign
 	seed     int64
 	rounds   map[string][]ship.Round
 	analyses map[string]*mobilemap.Analysis
@@ -44,13 +45,16 @@ var coverageBias = map[string]float64{
 
 // NewMobileStudy builds the mobile scenario: three carriers, targets in
 // neighboring ASes, and a San Diego reference server. Options configure
-// parallelism and the clock origin; with no options the study behaves
-// exactly as it always has.
+// parallelism and resilience; with no options the study behaves
+// exactly as it always has. Invalid options do not stop the build: Run,
+// Rounds and Analysis report them instead.
 func NewMobileStudy(seed int64, opts ...Option) *MobileStudy {
+	cfg, err := buildConfig(opts)
 	s := topogen.NewScenario(seed)
 	st := &MobileStudy{
 		Scenario: s,
-		cfg:      buildConfig(opts),
+		cfg:      cfg,
+		err:      err,
 		seed:     seed,
 		Carriers: map[string]*topogen.MobileCarrier{
 			"att-mobile": s.BuildMobileCarrier(topogen.ATTMobileProfile()),
@@ -84,14 +88,19 @@ func NewMobileStudy(seed int64, opts ...Option) *MobileStudy {
 	return st
 }
 
-// Rounds runs (once) the full 12-shipment campaign for a carrier.
+// Rounds runs (once) the full 12-shipment campaign for a carrier. It
+// panics with the study's ErrInvalidConfig error when its options were
+// rejected.
 func (st *MobileStudy) Rounds(carrier string) []ship.Round {
+	if st.err != nil {
+		panic(st.err)
+	}
 	if rs, ok := st.rounds[carrier]; ok {
 		return rs
 	}
 	c := &ship.Campaign{
 		Net:          st.Scenario.Net,
-		Clock:        st.cfg.clock(st.Scenario.Epoch()),
+		Clock:        vclock.New(st.Scenario.Epoch()),
 		Modem:        st.Carriers[carrier].NewModem(),
 		CellDB:       cellgeo.NewDB(0.25),
 		Targets:      st.Targets,

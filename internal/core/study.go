@@ -93,7 +93,7 @@ func NewStudy(name string, seed int64, opts ...Option) (Study, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown study %q (known: %v)", name, StudyNames())
 	}
-	if err := buildConfig(opts).validate(); err != nil {
+	if _, err := buildConfig(opts); err != nil {
 		return nil, err
 	}
 	return b(seed, opts...), nil
@@ -135,6 +135,9 @@ func (st *CableStudy) Run(ctx context.Context) (*StudyResult, error) {
 		CableISPs: CableISPs,
 		Cable:     map[string]*comap.Result{},
 	}
+	if st.err != nil {
+		return nil, st.err
+	}
 	for _, isp := range CableISPs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -153,6 +156,9 @@ func (st *ATTStudy) Name() string { return "att" }
 
 // Run implements Study.
 func (st *ATTStudy) Run(ctx context.Context) (*StudyResult, error) {
+	if st.err != nil {
+		return nil, st.err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -169,6 +175,9 @@ func (st *MobileStudy) Run(ctx context.Context) (*StudyResult, error) {
 		Study:  st.Name(),
 		Seed:   st.seed,
 		Mobile: map[string]*mobilemap.Analysis{},
+	}
+	if st.err != nil {
+		return nil, st.err
 	}
 	for _, carrier := range CarrierNames {
 		if err := ctx.Err(); err != nil {

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -78,5 +80,51 @@ func TestStudyRunHonorsCancellation(t *testing.T) {
 		if _, err := st.Run(ctx); err == nil {
 			t.Errorf("%s: Run with canceled context did not error", name)
 		}
+	}
+}
+
+// TestDirectConstructorsRejectInvalidConfig builds every study through
+// its direct constructor with options NewStudy rejects: Run must return
+// the named validation error before starting a campaign, and the lazy
+// accessors must panic with it rather than fail deep inside a campaign.
+func TestDirectConstructorsRejectInvalidConfig(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	opts := []core.Option{core.WithTraceWindow(64), core.WithSpillDir(missing)}
+	cases := []struct {
+		name   string
+		build  func() core.Study
+		access func(core.Study)
+	}{
+		{"cable", func() core.Study { return core.NewCableStudy(7, opts...) },
+			func(st core.Study) { st.(*core.CableStudy).Result("comcast") }},
+		{"att", func() core.Study { return core.NewATTStudy(7, opts...) },
+			func(st core.Study) { st.(*core.ATTStudy).Result() }},
+		{"mobile", func() core.Study { return core.NewMobileStudy(7, opts...) },
+			func(st core.Study) { st.(*core.MobileStudy).Analysis("verizon") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := core.NewStudy(tc.name, 7, opts...); !errors.Is(err, core.ErrSpillDirMissing) {
+				t.Fatalf("NewStudy error = %v, want ErrSpillDirMissing", err)
+			}
+			st := tc.build()
+			if _, err := st.Run(context.Background()); !errors.Is(err, core.ErrSpillDirMissing) || !errors.Is(err, core.ErrInvalidConfig) {
+				t.Fatalf("Run error = %v, want ErrSpillDirMissing wrapping ErrInvalidConfig", err)
+			}
+			if cs, ok := st.(*core.CableStudy); ok {
+				if _, err := cs.ResultContext(context.Background(), "comcast"); !errors.Is(err, core.ErrSpillDirMissing) {
+					t.Fatalf("ResultContext error = %v, want ErrSpillDirMissing", err)
+				}
+			}
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if !errors.Is(err, core.ErrSpillDirMissing) {
+						t.Fatalf("accessor panicked with %v, want ErrSpillDirMissing", err)
+					}
+				}()
+				tc.access(st)
+			}()
+		})
 	}
 }

@@ -59,26 +59,6 @@ func (s *Set) Contains(a netip.Addr) bool {
 	return ok
 }
 
-// Encloses reports whether a single stored prefix covers all of p.
-func (s *Set) Encloses(p netip.Prefix) bool {
-	k, _ := keyOf(p.Addr())
-	b := uint8(p.Bits())
-	n := s.tree(p.Addr().Is4()).root
-	for n != nil && n.bits <= b {
-		if commonBits(n.k, k, n.bits) < n.bits {
-			return false
-		}
-		if n.has {
-			return true
-		}
-		if n.bits == b {
-			return false
-		}
-		n = n.child[k.bit(n.bits)]
-	}
-	return false
-}
-
 // Each walks the stored prefixes in canonical order (a prefix before
 // any longer prefix inside it; disjoint prefixes in ascending address
 // order), stopping early if f returns false.

@@ -73,7 +73,7 @@ func TestAddrIDsStableAcrossWorkersAndWindows(t *testing.T) {
 	if err := mc.Run().Close(); err != nil {
 		t.Fatal(err)
 	}
-	syncs, _, _ := meter.Counts()
+	syncs, _ := meter.Counts()
 	dir := t.TempDir()
 	killed := durableQuickstart(4, 16, dir, segfault.Inject(segfault.OS, segfault.Plan{Seed: 102, CrashOnLogSync: 2 + (syncs-2)/2}))
 	killed.SkipAlias = true

@@ -93,7 +93,7 @@ func crashDurable(t *testing.T, c *comap.Campaign) {
 }
 
 // TestDurableCampaignMatchesGoldenDigest pins that turning durability
-// on — fsynced seals, manifests, flush checkpoints — is digest-neutral:
+// on — fsynced seals and checkpoint records — is digest-neutral:
 // an uninterrupted durable run equals the resident goldens at every
 // window size and worker count the windowed goldens cover.
 func TestDurableCampaignMatchesGoldenDigest(t *testing.T) {
@@ -110,25 +110,25 @@ func TestDurableCampaignMatchesGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestDurableKillAndResumeGrid is the PR's acceptance grid: kill a
-// durable campaign at the first window seal, mid-campaign, and the
-// final window seal (ordinals learned from an instrumented pass, so the
-// grid tracks the real workload), then resume over the surviving spill
-// directory with a freshly built scenario and require bit-identical
-// golden digests. A rename-crash cell covers the checkpoint-publish
-// window too.
+// TestDurableKillAndResumeGrid is the crash-safety acceptance grid:
+// kill a durable campaign at the first window seal, mid-campaign, the
+// final window seal, and inside the last flush's checkpoint record —
+// torn mid-write, or lost at its fsync (ordinals learned from an
+// instrumented pass, so the grid tracks the real workload) — then
+// resume over the surviving spill directory with a freshly built
+// scenario and require bit-identical golden digests.
 func TestDurableKillAndResumeGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kill/resume grid; skipped with -short")
 	}
 	for _, window := range []int{16, 4096} {
-		// Instrumented pass: count the log syncs and manifest renames one
-		// complete collection performs at this window size (both are
-		// fold-side and therefore worker-count invariant).
+		// Instrumented pass: count the log syncs and writes one complete
+		// collection performs at this window size (both are fold-side
+		// and therefore worker-count invariant).
 		meter := segfault.Inject(segfault.OS, segfault.Plan{})
 		mc := durableQuickstart(4, window, t.TempDir(), meter)
 		mcol := mc.Run()
-		syncs, _, renames := meter.Counts()
+		syncs, writes := meter.Counts()
 		if err := mcol.Close(); err != nil {
 			t.Fatalf("closing instrumented collection: %v", err)
 		}
@@ -136,8 +136,11 @@ func TestDurableKillAndResumeGrid(t *testing.T) {
 			t.Fatalf("window=%d: instrumented run saw only %d log syncs", window, syncs)
 		}
 
-		// Log sync #1 is the header; #2 is the first window's seal; the
-		// final sync seals the last window.
+		// Log sync #1 is the header; #2 is the first window's seal. The
+		// last flush seals its window and appends its checkpoint record,
+		// then the complete record follows, so the final three syncs are
+		// those frames'. Each record is a single write, so the record
+		// before the complete one is the second-to-last write.
 		kills := []struct {
 			name string
 			plan segfault.Plan
@@ -148,8 +151,9 @@ func TestDurableKillAndResumeGrid(t *testing.T) {
 		}{
 			{"first-window", segfault.Plan{Seed: 101, CrashOnLogSync: 2}, false},
 			{"mid-campaign", segfault.Plan{Seed: 102, CrashOnLogSync: 2 + (syncs-2)/2}, false},
-			{"last-window", segfault.Plan{Seed: 103, CrashOnLogSync: syncs}, true},
-			{"checkpoint-rename", segfault.Plan{Seed: 104, CrashOnRename: renames / 2}, false},
+			{"last-window", segfault.Plan{Seed: 103, CrashOnLogSync: syncs - 2}, true},
+			{"torn-checkpoint-record", segfault.Plan{Seed: 104, CrashOnLogWrite: writes - 1}, true},
+			{"checkpoint-record-fsync", segfault.Plan{Seed: 105, CrashOnLogSync: syncs - 1}, true},
 		}
 		for _, workers := range []int{1, 4} {
 			anyResumed := false

@@ -18,9 +18,9 @@
 //     shared counters and virtual time, but traceroute and ping discard
 //     them; the IP-ID-sensitive MIDAR stage always runs sequentially.)
 //
-//  2. Every job runs on a private Fork of the campaign clock taken at
-//     batch start. A job's elapsed virtual time is a function of its
-//     own replies only, so it too is schedule-independent.
+//  2. Every job runs on a private clock reset to the campaign clock's
+//     batch-start instant. A job's elapsed virtual time is a function
+//     of its own replies only, so it too is schedule-independent.
 //
 //  3. After the batch, the campaign clock advances by the sum of
 //     per-job elapsed times folded in submission order — the exact

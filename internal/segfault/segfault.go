@@ -2,12 +2,12 @@
 // spill-log writer. The crash-safety contract of the streaming campaign
 // engine — a killed campaign resumes at the last checkpoint with
 // bit-identical output — is only testable if tests can kill the writer
-// at precise, reproducible points: after the Nth sealed window, halfway
-// through a frame write (leaving a torn tail for the resume
-// classification to truncate), or during the manifest rename. The FS
-// interface covers exactly the operations the writer performs; OS is
-// the passthrough implementation, and Inject wraps any FS with a
-// deterministic fault plan keyed by the campaign seed.
+// at precise, reproducible points: at the fsync of the Nth frame (a
+// sealed window or a checkpoint record), or halfway through a frame
+// write (leaving a torn tail for the resume scan to truncate). The FS
+// interface covers exactly the operations the writer and its recovery
+// perform; OS is the passthrough implementation, and Inject wraps any
+// FS with a deterministic fault plan keyed by the campaign seed.
 //
 // An injected crash is not a transient error: once a plan fires its
 // crash point, every subsequent operation on the filesystem fails with
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 )
 
@@ -31,7 +30,7 @@ import (
 var ErrCrash = errors.New("segfault: injected crash")
 
 // ErrInjected is the sentinel for non-fatal injected failures (a
-// transient fsync error, a failed rename): the operation fails but the
+// transient fsync error, a short write): the operation fails but the
 // filesystem keeps working. Test with errors.Is.
 var ErrInjected = errors.New("segfault: injected fault")
 
@@ -52,8 +51,6 @@ type FS interface {
 	// (resume reopens the truncated log this way).
 	OpenAppend(path string) (File, error)
 	ReadFile(path string) ([]byte, error)
-	Rename(oldpath, newpath string) error
-	Remove(path string) error
 	Size(path string) (int64, error)
 	Truncate(path string, size int64) error
 }
@@ -70,8 +67,6 @@ func (osFS) OpenAppend(path string) (File, error) {
 }
 
 func (osFS) ReadFile(path string) ([]byte, error)   { return os.ReadFile(path) }
-func (osFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(path string) error               { return os.Remove(path) }
 func (osFS) Truncate(path string, size int64) error { return os.Truncate(path, size) }
 func (osFS) Size(path string) (int64, error) {
 	fi, err := os.Stat(path)
@@ -82,28 +77,24 @@ func (osFS) Size(path string) (int64, error) {
 }
 
 // Plan describes deterministic faults. Counters are 1-based ordinals
-// over the matching operations since the FS was built; zero disables a
-// fault. The log/manifest distinction keys off the path suffix: ".seg"
-// is the segment log, everything else (the manifest and its temp file)
-// is metadata.
+// over the matching operations since the FS was built, across every
+// file the FS opens (a durable campaign writes exactly one, its segment
+// log); zero disables a fault.
 type Plan struct {
 	// Seed keys the torn-write split point, so different campaign seeds
 	// tear frames at different byte offsets.
 	Seed uint64
 	// CrashOnLogSync crashes on the nth Sync of the segment log, first
 	// discarding every byte written since the last successful sync (the
-	// unsynced page-cache tail a power loss would eat). Seals sync
-	// exactly once, so n maps 1:1 onto sealed windows: n=1 dies sealing
-	// the first window (nothing durable), n=k dies sealing window k
-	// (windows 1..k-1 durable).
+	// unsynced page-cache tail a power loss would eat). The durable
+	// writer syncs the header once and then every frame once, so n maps
+	// 1:1 onto frames: n=1 dies syncing the header, n=k+1 dies syncing
+	// the log's kth frame (frames 1..k-1 durable).
 	CrashOnLogSync int
 	// CrashOnLogWrite crashes during the nth Write to the segment log,
 	// persisting only a seeded prefix of the buffer — a torn tail for
-	// the resume classifier.
+	// the resume scan.
 	CrashOnLogWrite int
-	// CrashOnRename crashes on the nth manifest rename: the windows are
-	// durable but the manifest pointing at the newest of them is not.
-	CrashOnRename int
 	// FailLogSync makes the nth log Sync fail with ErrInjected without
 	// entering the crashed state (a transient EIO).
 	FailLogSync int
@@ -128,7 +119,6 @@ type InjectFS struct {
 	mu        sync.Mutex
 	logSyncs  int
 	logWrites int
-	renames   int
 	crashed   bool
 }
 
@@ -139,14 +129,14 @@ func (f *InjectFS) Crashed() bool {
 	return f.crashed
 }
 
-// Counts reports the log-sync, log-write, and rename ordinals observed
-// so far. Kill grids run one instrumented (non-crashing) pass first and
-// derive their crash ordinals from these totals, so the grid tracks the
+// Counts reports the log-sync and log-write ordinals observed so far.
+// Kill grids run one instrumented (non-crashing) pass first and derive
+// their crash ordinals from these totals, so the grid tracks the
 // workload instead of hard-coding operation counts.
-func (f *InjectFS) Counts() (logSyncs, logWrites, renames int) {
+func (f *InjectFS) Counts() (logSyncs, logWrites int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.logSyncs, f.logWrites, f.renames
+	return f.logSyncs, f.logWrites
 }
 
 // check returns ErrCrash when the FS is already dead.
@@ -166,8 +156,6 @@ func (f *InjectFS) crash() error {
 	return ErrCrash
 }
 
-func isLog(path string) bool { return strings.HasSuffix(path, ".seg") }
-
 func (f *InjectFS) Create(path string) (File, error) {
 	if err := f.check(); err != nil {
 		return nil, err
@@ -176,7 +164,7 @@ func (f *InjectFS) Create(path string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &injectFile{fs: f, f: file, log: isLog(path)}, nil
+	return &injectFile{fs: f, f: file}, nil
 }
 
 func (f *InjectFS) OpenAppend(path string) (File, error) {
@@ -193,7 +181,7 @@ func (f *InjectFS) OpenAppend(path string) (File, error) {
 	}
 	// Bytes already on disk count as synced: resume only reopens logs
 	// whose durable prefix it just validated.
-	return &injectFile{fs: f, f: file, log: isLog(path), size: size, synced: size}, nil
+	return &injectFile{fs: f, f: file, size: size, synced: size}, nil
 }
 
 func (f *InjectFS) ReadFile(path string) ([]byte, error) {
@@ -201,29 +189,6 @@ func (f *InjectFS) ReadFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	return f.under.ReadFile(path)
-}
-
-func (f *InjectFS) Rename(oldpath, newpath string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.renames++
-	fire := f.plan.CrashOnRename > 0 && f.renames == f.plan.CrashOnRename
-	f.mu.Unlock()
-	if fire {
-		// The temp file stays behind, the target keeps its old content
-		// (or stays absent) — the atomic-rename failure mode.
-		return f.crash()
-	}
-	return f.under.Rename(oldpath, newpath)
-}
-
-func (f *InjectFS) Remove(path string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	return f.under.Remove(path)
 }
 
 func (f *InjectFS) Size(path string) (int64, error) {
@@ -240,13 +205,12 @@ func (f *InjectFS) Truncate(path string, size int64) error {
 	return f.under.Truncate(path, size)
 }
 
-// injectFile applies the plan's write/sync faults to one open file. For
-// log files it tracks the synced watermark so a sync crash can discard
-// the unsynced tail, the way power loss discards the page cache.
+// injectFile applies the plan's write/sync faults to one open file. It
+// tracks the synced watermark so a sync crash can discard the unsynced
+// tail, the way power loss discards the page cache.
 type injectFile struct {
 	fs     *InjectFS
 	f      File
-	log    bool
 	size   int64
 	synced int64
 }
@@ -265,9 +229,6 @@ func mix(vs ...uint64) uint64 {
 func (jf *injectFile) Write(p []byte) (int, error) {
 	if err := jf.fs.check(); err != nil {
 		return 0, err
-	}
-	if !jf.log {
-		return jf.f.Write(p)
 	}
 	fs := jf.fs
 	fs.mu.Lock()
@@ -312,9 +273,6 @@ func (jf *injectFile) Write(p []byte) (int, error) {
 func (jf *injectFile) Sync() error {
 	if err := jf.fs.check(); err != nil {
 		return err
-	}
-	if !jf.log {
-		return jf.f.Sync()
 	}
 	fs := jf.fs
 	fs.mu.Lock()

@@ -2,7 +2,6 @@ package segfault
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -55,16 +54,6 @@ func TestOSPassthrough(t *testing.T) {
 	if string(got) != "abcXY" {
 		t.Fatalf("after truncate+append = %q, want abcXY", got)
 	}
-	dst := filepath.Join(dir, "renamed.seg")
-	if err := OS.Rename(log, dst); err != nil {
-		t.Fatalf("Rename: %v", err)
-	}
-	if err := OS.Remove(dst); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if _, err := os.Stat(dst); !os.IsNotExist(err) {
-		t.Fatalf("file survived Remove: %v", err)
-	}
 }
 
 func TestCrashOnLogSync(t *testing.T) {
@@ -85,8 +74,8 @@ func TestCrashOnLogSync(t *testing.T) {
 	if _, err := fs.Create(filepath.Join(dir, "other.seg")); !errors.Is(err, ErrCrash) {
 		t.Fatalf("post-crash Create = %v, want ErrCrash", err)
 	}
-	if err := fs.Rename(log, log+"x"); !errors.Is(err, ErrCrash) {
-		t.Fatalf("post-crash Rename = %v, want ErrCrash", err)
+	if err := fs.Truncate(log, 0); !errors.Is(err, ErrCrash) {
+		t.Fatalf("post-crash Truncate = %v, want ErrCrash", err)
 	}
 	// The first write was synced before the crash; the second was
 	// written but never synced, so the crash dropped it.
@@ -139,28 +128,6 @@ func TestCrashOnLogWriteTearsDeterministically(t *testing.T) {
 	}
 }
 
-func TestCrashOnRenameKeepsOldTarget(t *testing.T) {
-	dir := t.TempDir()
-	fs := Inject(OS, Plan{CrashOnRename: 2})
-	tmp := filepath.Join(dir, "m.tmp")
-	dst := filepath.Join(dir, "m.json")
-	os.WriteFile(tmp, []byte("v1"), 0o644)
-	if err := fs.Rename(tmp, dst); err != nil {
-		t.Fatalf("rename 1: %v", err)
-	}
-	os.WriteFile(tmp, []byte("v2"), 0o644)
-	if err := fs.Rename(tmp, dst); !errors.Is(err, ErrCrash) {
-		t.Fatalf("rename 2 = %v, want ErrCrash", err)
-	}
-	got, _ := os.ReadFile(dst)
-	if string(got) != "v1" {
-		t.Fatalf("target after crashed rename = %q, want old content v1", got)
-	}
-	if _, err := os.Stat(tmp); err != nil {
-		t.Fatalf("temp file should survive crashed rename: %v", err)
-	}
-}
-
 func TestTransientFaults(t *testing.T) {
 	dir := t.TempDir()
 	fs := Inject(OS, Plan{FailLogSync: 1, ShortWrite: 2})
@@ -185,17 +152,5 @@ func TestTransientFaults(t *testing.T) {
 	}
 	if fs.Crashed() {
 		t.Fatal("transient faults must not latch the crashed state")
-	}
-	// Non-log files never see log faults.
-	m, err := fs.Create(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatalf("manifest Create: %v", err)
-	}
-	defer m.Close()
-	if _, err := m.Write([]byte("{}")); err != nil {
-		t.Fatalf("manifest write: %v", err)
-	}
-	if err := m.Sync(); err != nil {
-		t.Fatalf("manifest sync: %v", err)
 	}
 }

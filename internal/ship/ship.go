@@ -291,16 +291,6 @@ func JourneyEnergy(rounds []Round, m energy.Model) float64 {
 	return total
 }
 
-// CampaignStats folds every round's probe-outcome ledger into one
-// journey-wide total (paused and no-signal rounds contribute zeros).
-func CampaignStats(rounds []Round) probesched.ProbeStats {
-	var s probesched.ProbeStats
-	for i := range rounds {
-		s.Add(rounds[i].Stats)
-	}
-	return s
-}
-
 // LatencyMap aggregates per-hex minimum RTT in milliseconds (Fig. 18).
 func LatencyMap(rounds []Round, hexSizeDeg float64) []geo.HexValue {
 	agg := geo.NewHexAggregate(hexSizeDeg)

@@ -1,23 +1,44 @@
-// Resume: reopening a durable segment log after a crash. The recovery
-// rule is deliberately narrow — a window counts only when the manifest
-// records it AND its log bytes decode with the recorded CRC, and
-// collection restarts at the newest checkpoint inside that doubly
-// attested prefix. Anything else (a torn tail, a corrupt frame, sealed
-// windows the manifest never learned about because the crash landed
-// between log fsync and manifest rename) is truncated away and
-// re-measured. Re-probing a window the disk already held is wasted
-// work; replaying a window collection never cursored past is silent
-// corruption. The rule wastes a little to corrupt nothing.
+// Resume: reopening a durable segment log after a crash. A durable log
+// is the only durable file: its windows and its checkpoint records
+// (see segment.go) share one CRC-framed, append-only stream, and every
+// frame is fsynced before the call that wrote it returns.
+//
+// Recovery is one forward scan. It keeps every frame up to the last
+// checkpoint record that decodes, provided every frame before that
+// record decodes too, and truncates everything after it. That one rule
+// covers both ways a decodable window can be unusable: a window sealed
+// after the last checkpoint has no record after it, so it is cut; and
+// a log another campaign configuration wrote carries a foreign
+// fingerprint in its records, so recovery starts fresh. Re-probing a
+// window the disk already held is wasted work; replaying a window
+// collection never cursored past is silent corruption. The rule wastes
+// a little to corrupt nothing.
 package traceroute
 
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 
 	"repro/internal/segfault"
 )
+
+// Checkpoint is one checkpoint record of a durable log: a frame
+// boundary at which the caller snapshotted its cursor (clock, probe
+// ledger, breaker — whatever State carries; the log layer does not
+// interpret it).
+type Checkpoint struct {
+	// Offset is the record's log offset: the log length when the
+	// checkpoint was taken.
+	Offset int64
+	// Paths counts the trace paths durable at this checkpoint, a cheap
+	// cross-check the resuming caller asserts against its replay.
+	Paths int
+	// State is the caller's opaque cursor snapshot.
+	State json.RawMessage
+}
 
 // Resume reports what OpenDurableSegmentLog recovered.
 type Resume struct {
@@ -32,13 +53,12 @@ type Resume struct {
 	// Checkpoints are the surviving resume points, in cursor order;
 	// index i is the i-th flush the original run checkpointed.
 	Checkpoints []Checkpoint
-	// Windows counts validated sealed windows kept in the log.
+	// Windows counts the sealed windows kept in the log; re-collection
+	// appends the next one.
 	Windows int
-	// FirstMissing is the index of the first window absent from the
-	// log — equal to Windows; re-collection starts there.
-	FirstMissing int
-	// DroppedFrames counts sealed windows discarded during recovery
-	// (torn, corrupt, or past the last usable checkpoint).
+	// DroppedFrames counts the frames recovery cut away: decodable
+	// windows past the last checkpoint record, plus the damaged frame
+	// that ended the scan, if any.
 	DroppedFrames int
 	// Paths is the durable trace-path count at the final surviving
 	// checkpoint, the caller's replay cross-check.
@@ -46,12 +66,12 @@ type Resume struct {
 }
 
 // OpenDurableSegmentLog reopens (or creates) the durable segment log
-// at path. If a manifest with a matching fingerprint and a valid log
-// prefix exist, it truncates any unusable tail, rewrites the manifest
-// to match, and returns a writer positioned to append the first
-// missing window — or a nil writer when the log is complete. In every
-// other case (no manifest, wrong fingerprint, nothing salvageable) it
-// starts a fresh log, never failing the campaign over a bad leftover.
+// at path. If the log holds a checkpoint record for fingerprint, it
+// truncates the log after the last usable record and returns a writer
+// positioned to append the next window — or a nil writer when the log
+// is complete. In every other case (no log, a foreign fingerprint,
+// nothing salvageable) it starts a fresh log, never failing the
+// campaign over a bad leftover.
 func OpenDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*SegmentWriter, *Resume, error) {
 	fresh := func(reason string) (*SegmentWriter, *Resume, error) {
 		w, err := CreateDurableSegmentLog(path, fingerprint, fsys)
@@ -61,134 +81,114 @@ func OpenDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*Segment
 		return w, &Resume{Reason: reason}, nil
 	}
 
-	mdata, err := fsys.ReadFile(ManifestPath(path))
-	if err != nil {
-		if errors.Is(err, segfault.ErrCrash) {
-			return nil, nil, err
-		}
-		return fresh("no manifest")
-	}
-	m, err := DecodeManifest(mdata)
-	if err != nil {
-		return fresh(fmt.Sprintf("manifest rejected: %v", err))
-	}
-	if m.Fingerprint != fingerprint {
-		return fresh("fingerprint mismatch: log belongs to a different campaign configuration")
-	}
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, segfault.ErrCrash) {
 			return nil, nil, err
 		}
-		return fresh("manifest without log")
+		return fresh("no log")
 	}
 	if len(data) < 8 || string(data[:4]) != segMagic ||
 		binary.LittleEndian.Uint16(data[4:]) != segVersion {
 		return fresh("log header invalid")
 	}
 
-	// Walk the log against the manifest: each frame must decode (the
-	// reader classifies torn tails as ErrTruncatedSegment and bad bytes
-	// as ErrCorruptSegment) and must match its record's CRC, length,
-	// stage, and trace count.
-	r := &SegmentReader{data: data, off: 8, unmap: func() error { return nil }}
+	// The scan decodes every frame (the reader classifies torn tails as
+	// ErrTruncatedSegment and bad bytes as ErrCorruptSegment) and stops
+	// at the first that fails. Each checkpoint record moves the cut to
+	// its end and snapshots the log-global symbol count a writer
+	// appending there continues from.
+	r := &SegmentReader{data: data, off: 8}
 	var seg Segment
-	validEnd := int64(8)
-	frames := 0
+	res := &Resume{}
+	cut, nGlobal, windows := -1, 0, 0
 	tail := "clean end of log"
-	for frames < len(m.Segments) {
-		rec := m.Segments[frames]
-		ok, err := r.Next(&seg)
+	for {
+		payload, ok, err := r.frame()
+		if err == nil && !ok {
+			break
+		}
+		if err == nil && isCheckpoint(payload) {
+			cp, fp, done, derr := decodeCheckpoint(payload)
+			if derr == nil && fp != fingerprint {
+				return fresh("fingerprint mismatch: log belongs to a different campaign configuration")
+			}
+			if err = derr; err == nil {
+				cp.Offset = int64(r.off)
+				res.Checkpoints = append(res.Checkpoints, cp)
+				res.Complete = done
+				cut, nGlobal, res.Windows = r.off+8+len(payload), len(r.addrs), windows
+			}
+		} else if err == nil {
+			if err = r.decodePayload(payload, &seg); err == nil {
+				windows++
+			}
+		}
 		if err != nil {
-			tail = fmt.Sprintf("window %d: %v", frames, err)
+			tail = fmt.Sprintf("frame at offset %d: %v", r.off, err)
+			res.DroppedFrames++
 			break
 		}
-		if !ok {
-			tail = fmt.Sprintf("log ends before recorded window %d", frames)
-			break
-		}
-		frameCRC := binary.LittleEndian.Uint32(data[validEnd+4:])
-		if int64(r.off)-validEnd != rec.Length || frameCRC != rec.CRC ||
-			seg.Stage != rec.Stage || seg.NumTraces() != rec.Traces {
-			tail = fmt.Sprintf("window %d does not match its manifest record", frames)
-			break
-		}
-		validEnd = int64(r.off)
-		frames++
-	}
-
-	// Resume at the newest checkpoint inside the validated prefix; the
-	// checkpoint's cursor is only meaningful for bytes it had cursored
-	// past, so valid frames beyond it are discarded too.
-	cut := int64(-1)
-	nCheck := 0
-	for i, c := range m.Checkpoints {
-		if c.Offset <= validEnd {
-			cut = c.Offset
-			nCheck = i + 1
-		}
+		r.off += 8 + len(payload)
 	}
 	if cut < 0 {
 		return fresh(fmt.Sprintf("no checkpoint survived (%s)", tail))
 	}
-	kept := 0
-	for kept < frames && m.Segments[kept].Offset+m.Segments[kept].Length <= cut {
-		kept++
+	res.Resumed = true
+	res.DroppedFrames += windows - res.Windows
+	res.Paths = res.Checkpoints[len(res.Checkpoints)-1].Paths
+	if cut < len(data) {
+		if err := fsys.Truncate(path, int64(cut)); err != nil {
+			return nil, nil, err
+		}
 	}
-	dropped := len(m.Segments) - kept
-	wasComplete := m.Complete
-	m.Segments = m.Segments[:kept]
-	m.Checkpoints = m.Checkpoints[:nCheck]
-	m.Complete = wasComplete && dropped == 0
-	res := &Resume{
-		Resumed:       true,
-		Complete:      m.Complete,
-		Checkpoints:   m.Checkpoints,
-		Windows:       kept,
-		FirstMissing:  kept,
-		DroppedFrames: dropped,
-		Paths:         m.Checkpoints[nCheck-1].Paths,
-	}
-
-	if m.Complete {
+	if res.Complete {
 		res.Reason = "complete campaign log: replay, no re-collection"
 		return nil, res, nil
 	}
-	res.Reason = fmt.Sprintf("recovered %d windows to checkpoint %d (%s); %d dropped",
-		kept, nCheck-1, tail, dropped)
+	res.Reason = fmt.Sprintf("recovered %d windows to checkpoint %d (%s); %d frames dropped",
+		res.Windows, len(res.Checkpoints)-1, tail, res.DroppedFrames)
 
-	// Make disk agree with the pruned manifest before handing out the
-	// writer: truncate the tail, republish the manifest, and count the
-	// log-global symbols of the kept prefix by replaying it.
-	if err := fsys.Truncate(path, cut); err != nil {
-		return nil, nil, err
-	}
-	r2 := &SegmentReader{data: data[:cut], off: 8, unmap: func() error { return nil }}
-	for {
-		ok, err := r2.Next(&seg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("traceroute: validated prefix failed replay: %w", err)
-		}
-		if !ok {
-			break
-		}
-	}
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &SegmentWriter{
-		f:        f,
-		bw:       bufio.NewWriterSize(f, 1<<16),
-		nGlobal:  len(r2.addrs),
-		fsys:     fsys,
-		logPath:  path,
-		manifest: m,
-		off:      cut,
+	return &SegmentWriter{
+		f:           f,
+		bw:          bufio.NewWriterSize(f, 1<<16),
+		nGlobal:     nGlobal,
+		fsys:        fsys,
+		fingerprint: fingerprint,
+	}, res, nil
+}
+
+// decodeCheckpoint parses a checkpoint record's payload (isCheckpoint
+// holds). The state is copied out, so the checkpoint does not pin the
+// log bytes.
+func decodeCheckpoint(payload []byte) (cp Checkpoint, fingerprint string, complete bool, err error) {
+	b := payload[2:]
+	if len(b) == 0 || b[0] > 1 {
+		return cp, "", false, fmt.Errorf("%w: bad checkpoint flag", ErrCorruptSegment)
 	}
-	if err := w.writeManifest(); err != nil {
-		f.Close()
-		return nil, nil, err
+	complete = b[0] == 1
+	paths, b, err := uv(b[1:])
+	if err != nil {
+		return cp, "", false, err
 	}
-	return w, res, nil
+	fpLen, b, err := uv(b)
+	if err != nil {
+		return cp, "", false, err
+	}
+	if paths > 1<<48 || fpLen > uint64(len(b)) {
+		return cp, "", false, fmt.Errorf("%w: checkpoint paths %d, fingerprint length %d", ErrCorruptSegment, paths, fpLen)
+	}
+	state := b[fpLen:]
+	if len(state) > 0 && !json.Valid(state) {
+		return cp, "", false, fmt.Errorf("%w: checkpoint state is not JSON", ErrCorruptSegment)
+	}
+	cp.Paths = int(paths)
+	if len(state) > 0 {
+		cp.State = append(json.RawMessage(nil), state...)
+	}
+	return cp, string(b[:fpLen]), complete, nil
 }

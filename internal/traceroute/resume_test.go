@@ -73,24 +73,26 @@ func TestDurableKillAndResume(t *testing.T) {
 	// Each case kills the writer at a different point. wantWin is how
 	// many sealed windows recovery must salvage; -1 means nothing
 	// (fresh start).
+	//
+	// Every frame is one write and one sync, after the header's: for
+	// window k (1-based), write and sync #2k seal the window and #2k+1
+	// append its checkpoint record.
 	cases := []struct {
 		name    string
 		plan    segfault.Plan
 		wantWin int
 	}{
-		// Log sync #1 is the header, #k+1 seals window k-1 (1-based).
 		{"sync-crash-before-any-checkpoint", segfault.Plan{CrashOnLogSync: 2}, -1},
-		{"sync-crash-window3", segfault.Plan{CrashOnLogSync: 5}, 3},
-		{"sync-crash-last-window", segfault.Plan{CrashOnLogSync: resumeTestWindows + 1}, resumeTestWindows - 1},
-		// Log write #1 is the header flush, #k+1 is the k-th window's
-		// frame (1-based): tearing it salvages the k-1 before it.
-		{"torn-write-window2", segfault.Plan{Seed: 7, CrashOnLogWrite: 3}, 1},
-		{"torn-write-window4", segfault.Plan{Seed: 40, CrashOnLogWrite: 5}, 3},
-		// Rename #1 publishes the empty manifest; window k (1-based)
-		// renames at seal (#2k) and checkpoint (#2k+1). Crashing either
-		// leaves window k durable but uncheckpointed, so it is dropped.
-		{"rename-crash-at-seal3", segfault.Plan{CrashOnRename: 6}, 2},
-		{"rename-crash-at-checkpoint3", segfault.Plan{CrashOnRename: 7}, 2},
+		{"sync-crash-window3", segfault.Plan{CrashOnLogSync: 8}, 3},
+		{"sync-crash-last-window", segfault.Plan{CrashOnLogSync: 2 * resumeTestWindows}, resumeTestWindows - 1},
+		// Tearing window k's frame salvages the k-1 before it.
+		{"torn-write-window2", segfault.Plan{Seed: 7, CrashOnLogWrite: 4}, 1},
+		{"torn-write-window4", segfault.Plan{Seed: 40, CrashOnLogWrite: 8}, 3},
+		// Tearing window 3's checkpoint record, or crashing at its
+		// fsync, leaves window 3 durable but uncheckpointed, so it is
+		// dropped.
+		{"torn-checkpoint-record3", segfault.Plan{Seed: 9, CrashOnLogWrite: 7}, 2},
+		{"record-fsync-crash3", segfault.Plan{CrashOnLogSync: 7}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,7 +121,7 @@ func TestDurableKillAndResume(t *testing.T) {
 					t.Fatalf("expected fresh start, got resume: %+v", res)
 				}
 			} else {
-				if !res.Resumed || res.Windows != tc.wantWin || res.FirstMissing != tc.wantWin {
+				if !res.Resumed || res.Windows != tc.wantWin {
 					t.Fatalf("resume = %+v, want %d windows", res, tc.wantWin)
 				}
 				if res.Paths != tc.wantWin {
@@ -127,6 +129,11 @@ func TestDurableKillAndResume(t *testing.T) {
 				}
 				if n := len(res.Checkpoints); n != tc.wantWin {
 					t.Fatalf("%d checkpoints survived, want %d", n, tc.wantWin)
+				}
+				for i, cp := range res.Checkpoints {
+					if want := fmt.Sprintf(`{"win":%d}`, i); string(cp.State) != want || cp.Paths != i+1 {
+						t.Fatalf("checkpoint %d = %d paths, state %s; want %d, %s", i, cp.Paths, cp.State, i+1, want)
+					}
 				}
 				from = tc.wantWin
 			}
@@ -188,7 +195,22 @@ func TestDurableResumeRejectsForeignFingerprint(t *testing.T) {
 	}
 }
 
-func TestDurableResumeRejectsGarbageManifest(t *testing.T) {
+// logFrames splits a log into its frames, as [start, end) offsets.
+// The bytes must frame cleanly.
+func logFrames(data []byte) [][2]int {
+	var out [][2]int
+	for off := 8; off < len(data); {
+		end := off + 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		out = append(out, [2]int{off, end})
+		off = end
+	}
+	return out
+}
+
+// TestDurableResumeRejectsCorruptCheckpointRecord flips a byte of the
+// last checkpoint record: recovery must resume at the record before it
+// and cut the window the damaged record covered.
+func TestDurableResumeRejectsCorruptCheckpointRecord(t *testing.T) {
 	var store HopStore
 	views := resumeTestViews(&store)
 	path := filepath.Join(t.TempDir(), "traces.seg")
@@ -202,7 +224,13 @@ func TestDurableResumeRejectsGarbageManifest(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(ManifestPath(path), []byte("not json{"), 0o644); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := logFrames(data) // window 0, record 0, window 1, record 1
+	data[frames[3][0]+12] ^= 0x08
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w2, res, err := OpenDurableSegmentLog(path, "fp", segfault.OS)
@@ -210,15 +238,19 @@ func TestDurableResumeRejectsGarbageManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if res.Resumed {
-		t.Fatalf("resumed from a garbage manifest: %+v", res)
+	if !res.Resumed || res.Windows != 1 || len(res.Checkpoints) != 1 || res.DroppedFrames != 2 {
+		t.Fatalf("recovery from a corrupt last record = %+v, want 1 window, 1 checkpoint, 2 frames dropped", res)
+	}
+	if n, _ := segfault.OS.Size(path); n != int64(frames[1][1]) {
+		t.Fatalf("recovered log is %d bytes, want %d (through checkpoint record 0)", n, frames[1][1])
 	}
 }
 
-// TestRecoveryClassification damages every region of a sealed frame —
-// bit-flips across the whole payload, both frame-header fields, and a
-// truncation at every byte of the final frame — and asserts the decode
-// error class plus the exact number of windows recovery salvages.
+// TestRecoveryClassification damages every region of a sealed window
+// and of a checkpoint record — bit-flips across the whole payload, both
+// frame-header fields, and a truncation at every byte of the final
+// window and the final record — and asserts the decode error class plus
+// the exact number of windows recovery salvages.
 func TestRecoveryClassification(t *testing.T) {
 	var store HopStore
 	views := resumeTestViews(&store)
@@ -239,16 +271,10 @@ func TestRecoveryClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifestBytes, err := os.ReadFile(ManifestPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := DecodeManifest(manifestBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Segments) != nWin {
-		t.Fatalf("reference log has %d windows, want %d", len(m.Segments), nWin)
+	// Frames alternate: window k at 2k, its checkpoint record at 2k+1.
+	frames := logFrames(good)
+	if len(frames) != 2*nWin {
+		t.Fatalf("reference log has %d frames, want %d", len(frames), 2*nWin)
 	}
 
 	// check writes a damaged copy, asserts the sequential decoder's
@@ -257,15 +283,8 @@ func TestRecoveryClassification(t *testing.T) {
 	// precedes window 0).
 	check := func(t *testing.T, data []byte, wantErr error, wantWin int) {
 		t.Helper()
-		d := filepath.Join(t.TempDir(), "damaged")
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(d, "traces.seg")
+		p := filepath.Join(t.TempDir(), "traces.seg")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(ManifestPath(p), manifestBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if derr := decodeAll(p); !errors.Is(derr, wantErr) {
@@ -286,43 +305,56 @@ func TestRecoveryClassification(t *testing.T) {
 		}
 	}
 
-	for win := 0; win < nWin; win++ {
-		rec := m.Segments[win]
-		lo, hi := rec.Offset, rec.Offset+rec.Length
-		t.Run(fmt.Sprintf("win%d/flip-every-payload-byte", win), func(t *testing.T) {
+	// Damage to window k or to its record keeps the k windows before
+	// it: the newest intact record is record k-1.
+	for i, fr := range frames {
+		name, win := fmt.Sprintf("win%d", i/2), i/2
+		if i%2 == 1 {
+			name = fmt.Sprintf("rec%d", i/2)
+		}
+		lo, hi := fr[0], fr[1]
+		t.Run(name+"/flip-every-payload-byte", func(t *testing.T) {
 			for off := lo + 8; off < hi; off++ {
 				data := append([]byte(nil), good...)
 				data[off] ^= 0x10
 				check(t, data, ErrCorruptSegment, win)
 			}
 		})
-		t.Run(fmt.Sprintf("win%d/flip-crc", win), func(t *testing.T) {
+		t.Run(name+"/flip-crc", func(t *testing.T) {
 			data := append([]byte(nil), good...)
 			data[lo+4] ^= 0x01
 			check(t, data, ErrCorruptSegment, win)
 		})
-		t.Run(fmt.Sprintf("win%d/len-oversized", win), func(t *testing.T) {
+		t.Run(name+"/len-oversized", func(t *testing.T) {
 			data := append([]byte(nil), good...)
 			binary.LittleEndian.PutUint32(data[lo:], 1<<30)
 			check(t, data, ErrTruncatedSegment, win)
 		})
-		t.Run(fmt.Sprintf("win%d/len-shrunk", win), func(t *testing.T) {
+		t.Run(name+"/len-shrunk", func(t *testing.T) {
 			data := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(data[lo:], uint32(rec.Length)-8-1)
+			binary.LittleEndian.PutUint32(data[lo:], uint32(hi-lo)-8-1)
 			check(t, data, ErrCorruptSegment, win)
 		})
 	}
-	// Truncate the log at every byte inside the final frame: always a
-	// torn tail, always salvaging everything before it.
-	last := m.Segments[nWin-1]
+	// Truncate the log at every byte inside the final window and inside
+	// the final record (the final frame): always a torn tail, always
+	// salvaging the windows the record before it covers.
+	lastWin, lastRec := frames[2*nWin-2], frames[2*nWin-1]
+	t.Run("truncate-every-final-window-byte", func(t *testing.T) {
+		for cut := lastWin[0] + 1; cut < lastWin[1]; cut++ {
+			check(t, good[:cut], ErrTruncatedSegment, nWin-1)
+		}
+	})
 	t.Run("truncate-every-final-frame-byte", func(t *testing.T) {
-		for cut := last.Offset + 1; cut < last.Offset+last.Length; cut++ {
+		for cut := lastRec[0] + 1; cut < lastRec[1]; cut++ {
 			check(t, good[:cut], ErrTruncatedSegment, nWin-1)
 		}
 	})
 	// Truncating exactly at a frame boundary is a clean-looking log
-	// that simply misses windows; recovery still resumes there.
+	// that simply misses frames; recovery still resumes at the last
+	// record left.
 	t.Run("truncate-at-boundary", func(t *testing.T) {
-		check(t, good[:last.Offset], nil, nWin-1)
+		check(t, good[:lastWin[0]], nil, nWin-1)
+		check(t, good[:lastRec[0]], nil, nWin-1)
 	})
 }

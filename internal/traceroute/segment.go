@@ -17,8 +17,16 @@
 // ErrCorruptSegment — named errors, never a panic (FuzzSegmentDecode
 // pins that).
 //
-//	payload := stageLen uvarint | stage | traceCount uvarint
-//	           | symCount uvarint | remap | addrDelta* | trace*
+//	payload    := window | checkpoint
+//	window     := stageLen uvarint | stage | traceCount uvarint
+//	              | symCount uvarint | remap | addrDelta* | trace*
+//	checkpoint := 0x00 0x00 | complete u8 | paths uvarint
+//	              | fpLen uvarint | fingerprint | state
+//
+// A checkpoint record opens where a window would carry an empty stage
+// and zero traces. Seal never writes an empty window, so plain logs
+// hold windows only; durable logs add a record at every resume point
+// (see resume.go), and Next and NextSyms step over records.
 //
 // Hop addresses are interned: each segment carries a dense local symbol
 // table (symtab discipline), the serialized local→global remap
@@ -57,6 +65,10 @@ const (
 	segMagic   = "TRSG"
 	segVersion = 1
 )
+
+// segHeader is every log's first eight bytes: the magic, segVersion as
+// a little-endian u16, and zero flags.
+var segHeader = [8]byte{'T', 'R', 'S', 'G', segVersion, 0, 0, 0}
 
 // Named decode failures. Both wrap detail; test with errors.Is.
 var (
@@ -101,14 +113,12 @@ type SegmentWriter struct {
 	err   error
 
 	// Durable mode (CreateDurableSegmentLog / OpenDurableSegmentLog):
-	// every Seal fsyncs the log and atomically rewrites the manifest, so
-	// a crash loses at most the open window. fsys nil = plain mode, no
-	// manifest, no syncs — exactly the original writer.
-	fsys     segfault.FS
-	logPath  string
-	manifest *Manifest
-	menc     manifestEncoder
-	off      int64
+	// every frame, window or checkpoint record, is flushed and fsynced
+	// before the call that wrote it returns, and every record carries
+	// the campaign fingerprint. fsys nil = plain mode: no records, no
+	// syncs.
+	fsys        segfault.FS
+	fingerprint string
 }
 
 // CreateSegmentLog creates (truncating) a segment log at path and
@@ -122,44 +132,30 @@ func CreateSegmentLog(path string) (*SegmentWriter, error) {
 		f:  f,
 		bw: bufio.NewWriterSize(f, 1<<16),
 	}
-	var hdr [8]byte
-	copy(hdr[:4], segMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], segVersion)
-	binary.LittleEndian.PutUint16(hdr[6:], 0) // flags, reserved
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	if _, err := w.bw.Write(segHeader[:]); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return w, nil
 }
 
-// CreateDurableSegmentLog creates (truncating) a durable segment log:
-// the header is synced immediately and an empty manifest stamped with
-// fingerprint is published, so a crash at any later instant finds a
-// decodable pair on disk. All I/O goes through fsys, the injectable
-// filesystem seam (pass segfault.OS outside tests).
+// CreateDurableSegmentLog creates (truncating) a durable segment log
+// for the campaign fingerprint names and syncs its header. All I/O goes
+// through fsys, the injectable filesystem seam (pass segfault.OS
+// outside tests).
 func CreateDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*SegmentWriter, error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	w := &SegmentWriter{
-		f:       f,
-		bw:      bufio.NewWriterSize(f, 1<<16),
-		fsys:    fsys,
-		logPath: path,
-		off:     8,
-		manifest: &Manifest{
-			Schema:      manifestSchema,
-			SegVersion:  segVersion,
-			Fingerprint: fingerprint,
-		},
+		f:           f,
+		bw:          bufio.NewWriterSize(f, 1<<16),
+		fsys:        fsys,
+		fingerprint: fingerprint,
 	}
-	var hdr [8]byte
-	copy(hdr[:4], segMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], segVersion)
-	binary.LittleEndian.PutUint16(hdr[6:], 0) // flags, reserved
-	if _, err := w.bw.Write(hdr[:]); err == nil {
+	_, err = w.bw.Write(segHeader[:])
+	if err == nil {
 		err = w.bw.Flush()
 	}
 	if err == nil {
@@ -169,82 +165,43 @@ func CreateDurableSegmentLog(path, fingerprint string, fsys segfault.FS) (*Segme
 		f.Close()
 		return nil, err
 	}
-	if err := w.writeManifest(); err != nil {
-		f.Close()
-		return nil, err
-	}
 	return w, nil
 }
 
-// writeManifest atomically publishes the current manifest: write to a
-// sibling temp file, fsync, rename over the target. A crash mid-write
-// leaves the previous manifest intact (plus a stray .tmp that make
-// clean sweeps).
-func (w *SegmentWriter) writeManifest() error {
-	if w.fsys == nil {
-		return nil
-	}
-	path := ManifestPath(w.logPath)
-	tmp := path + ".tmp"
-	f, err := w.fsys.Create(tmp)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := f.Write(w.menc.encode(w.manifest)); err != nil {
-		f.Close()
-		w.err = err
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		w.err = err
-		return err
-	}
-	if err := f.Close(); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.fsys.Rename(tmp, path); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
-// Checkpoint seals any open window and records a resume point carrying
-// the caller's opaque cursor snapshot. paths is the durable trace-path
-// count, asserted by the resume replay. Durable logs only.
+// Checkpoint seals any open window and appends a checkpoint record
+// carrying the caller's opaque cursor snapshot; it returns once the
+// record is synced. paths is the durable trace-path count, asserted by
+// the resume replay. Durable logs only.
 func (w *SegmentWriter) Checkpoint(paths int, state json.RawMessage) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.fsys == nil {
-		return errors.New("traceroute: Checkpoint on a non-durable segment log")
-	}
-	if err := w.Seal(); err != nil {
-		return err
-	}
-	w.manifest.Checkpoints = append(w.manifest.Checkpoints, Checkpoint{Offset: w.off, Paths: paths, State: state})
-	return w.writeManifest()
+	return w.checkpoint(paths, false, state)
 }
 
-// MarkComplete records the final checkpoint and flags the log complete:
-// a later OpenDurableSegmentLog replays it instead of resuming
-// collection. Durable logs only.
+// MarkComplete is Checkpoint for the final cursor: its record also
+// flags the log complete, so a later OpenDurableSegmentLog replays the
+// log instead of resuming collection.
 func (w *SegmentWriter) MarkComplete(paths int, state json.RawMessage) error {
+	return w.checkpoint(paths, true, state)
+}
+
+func (w *SegmentWriter) checkpoint(paths int, complete bool, state json.RawMessage) error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.fsys == nil {
-		return errors.New("traceroute: MarkComplete on a non-durable segment log")
+		return errors.New("traceroute: checkpoint on a non-durable segment log")
 	}
 	if err := w.Seal(); err != nil {
 		return err
 	}
-	w.manifest.Complete = true
-	w.manifest.Checkpoints = append(w.manifest.Checkpoints, Checkpoint{Offset: w.off, Paths: paths, State: state})
-	return w.writeManifest()
+	head := append(w.head[:0], 0, 0, 0)
+	if complete {
+		head[2] = 1
+	}
+	head = binary.AppendUvarint(head, uint64(paths))
+	head = binary.AppendUvarint(head, uint64(len(w.fingerprint)))
+	head = append(head, w.fingerprint...)
+	head = append(head, state...)
+	return w.writeFrame(head)
 }
 
 // Count reports the traces appended to the open (unsealed) segment.
@@ -389,12 +346,12 @@ func (w *SegmentWriter) Seal() error {
 	w.nGlobal += len(w.fresh)
 	w.locals = w.locals[:0]
 	w.fresh = w.fresh[:0]
-	return w.writeManifest()
+	return nil
 }
 
-// writeFrame writes the open segment's frame — head, then the trace
-// bodies, behind the length and CRC — records it in a durable log's
-// manifest (which the caller then publishes), and empties the body.
+// writeFrame writes one frame — head, then the open segment's trace
+// bodies (none for a checkpoint record), behind the length and CRC —
+// syncs it in a durable log, and empties the segment.
 func (w *SegmentWriter) writeFrame(head []byte) error {
 	crc := crc32.ChecksumIEEE(head)
 	crc = crc32.Update(crc, crc32.IEEETable, w.body)
@@ -414,9 +371,6 @@ func (w *SegmentWriter) writeFrame(head []byte) error {
 		return err
 	}
 	if w.fsys != nil {
-		// Durability order: the frame's bytes reach the platter before
-		// the manifest records them, so the manifest never points past
-		// what a crash would leave behind.
 		if err := w.bw.Flush(); err != nil {
 			w.err = err
 			return err
@@ -425,15 +379,6 @@ func (w *SegmentWriter) writeFrame(head []byte) error {
 			w.err = err
 			return err
 		}
-		frameLen := int64(8 + len(head) + len(w.body))
-		w.manifest.Segments = append(w.manifest.Segments, SegmentRecord{
-			Offset: w.off,
-			Length: frameLen,
-			CRC:    crc,
-			Stage:  w.stage,
-			Traces: w.count,
-		})
-		w.off += frameLen
 	}
 	w.head = head[:0]
 	w.body = w.body[:0]
@@ -561,10 +506,10 @@ func uv(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// Next decodes the next frame into seg (resetting it first). It returns
-// false with a nil error at a clean end of log.
+// Next decodes the next window into seg (resetting it first). It
+// returns false with a nil error at a clean end of log.
 func (r *SegmentReader) Next(seg *Segment) (bool, error) {
-	payload, ok, err := r.frame()
+	payload, ok, err := r.window()
 	if !ok || err != nil {
 		return false, err
 	}
@@ -595,6 +540,25 @@ func (r *SegmentReader) frame() (payload []byte, ok bool, err error) {
 		return nil, false, fmt.Errorf("%w: crc %08x != %08x", ErrCorruptSegment, crc, wantCRC)
 	}
 	return payload, true, nil
+}
+
+// isCheckpoint reports whether a frame payload is a checkpoint record:
+// it opens with the empty stage and zero trace count no window has.
+func isCheckpoint(payload []byte) bool {
+	return len(payload) >= 2 && payload[0] == 0 && payload[1] == 0
+}
+
+// window returns the payload of the next window frame, stepping over
+// checkpoint records; ok is false with a nil error at a clean end of
+// log.
+func (r *SegmentReader) window() (payload []byte, ok bool, err error) {
+	for {
+		payload, ok, err = r.frame()
+		if !ok || err != nil || !isCheckpoint(payload) {
+			return payload, ok, err
+		}
+		r.off += 8 + len(payload)
+	}
 }
 
 // decodeHead parses a payload's stage, trace count and symbol remap,
@@ -824,11 +788,11 @@ func (w *SymWindow) Reset() {
 // full replay the table is the same at any window size.
 func (r *SegmentReader) Addrs() []netip.Addr { return r.addrs }
 
-// NextSyms decodes the next frame into w in symbol form (see
+// NextSyms decodes the next window into w in symbol form (see
 // SymWindow), resetting w first. It validates exactly what Next
 // validates and returns false with a nil error at a clean end of log.
 func (r *SegmentReader) NextSyms(w *SymWindow) (bool, error) {
-	payload, ok, err := r.frame()
+	payload, ok, err := r.window()
 	if !ok || err != nil {
 		return false, err
 	}

@@ -1,7 +1,6 @@
 package traceroute
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/segfault"
 )
 
 // TestNonMmapFallbackSeam replays a log through the buffered
@@ -555,7 +555,9 @@ func TestSegmentDecodeErrors(t *testing.T) {
 }
 
 // FuzzSegmentDecode asserts the decoder never panics or over-allocates
-// on arbitrary bytes — it must return a named error or decode cleanly.
+// on arbitrary bytes — it must return a named error or decode cleanly —
+// and that recovery over the same bytes never panics and keeps only
+// windows that decode.
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
@@ -567,6 +569,18 @@ func FuzzSegmentDecode(f *testing.F) {
 		mut[15] ^= 0xff
 		f.Add(mut)
 	}
+	// A complete durable log: windows, checkpoint records and the
+	// complete record, whole, cut inside its final record, and with a
+	// record byte flipped.
+	d := durableLogBytesFuzz()
+	if frames := logFrames(d); len(frames) >= 4 {
+		f.Add(d)
+		last := frames[len(frames)-1]
+		f.Add(d[:last[0]+9])
+		mut := append([]byte(nil), d...)
+		mut[frames[1][0]+11] ^= 0x01
+		f.Add(mut)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.seg")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -576,60 +590,70 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrTruncatedSegment) && !errors.Is(err, ErrCorruptSegment) {
 			t.Fatalf("unnamed decode error: %v", err)
 		}
+		w, res, err := OpenDurableSegmentLog(path, "fp", noSyncFS{segfault.OS})
+		if err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		if w != nil {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res.Resumed {
+			if err := decodeAll(path); err != nil {
+				t.Fatalf("recovered log does not decode: %v", err)
+			}
+		}
 	})
 }
 
-// FuzzManifestDecode asserts the manifest decoder never panics on
-// arbitrary bytes: it returns *Manifest or an error wrapping
-// ErrBadManifest, and anything it accepts must re-encode cleanly.
-func FuzzManifestDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("{}"))
-	f.Add([]byte("not json{"))
-	f.Add([]byte(`{"schema":1,"seg_version":1,"fingerprint":"fp"}`))
-	valid := encodeManifest(&Manifest{
-		Schema: manifestSchema, SegVersion: segVersion, Fingerprint: "fp",
-		Segments: []SegmentRecord{
-			{Offset: 8, Length: 40, CRC: 0xdeadbeef, Stage: "sweep", Traces: 2},
-			{Offset: 48, Length: 33, CRC: 7, Stage: "direct", Traces: 1},
-		},
-		Checkpoints: []Checkpoint{
-			{Offset: 48, Paths: 2, State: json.RawMessage(`{"win":0}`)},
-			{Offset: 81, Paths: 3, State: json.RawMessage(`{"win":1}`)},
-		},
-	})
-	f.Add(valid)
-	complete := encodeManifest(&Manifest{
-		Schema: manifestSchema, SegVersion: segVersion, Fingerprint: "fp",
-		Segments:    []SegmentRecord{{Offset: 8, Length: 40, CRC: 1, Stage: "sweep", Traces: 2}},
-		Checkpoints: []Checkpoint{{Offset: 48, Paths: 2}},
-		Complete:    true,
-	})
-	f.Add(complete)
-	for _, i := range []int{10, len(valid) / 2, len(valid) - 3} {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0xff
-		f.Add(mut)
+// noSyncFS is the real filesystem with fsync skipped: the fuzz body
+// needs recovery's bytes, not their crash safety, and should not pay a
+// disk flush per input.
+type noSyncFS struct{ segfault.FS }
+
+type noSyncFile struct{ segfault.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (fs noSyncFS) Create(path string) (segfault.File, error) {
+	f, err := fs.FS.Create(path)
+	return noSyncFile{f}, err
+}
+
+func (fs noSyncFS) OpenAppend(path string) (segfault.File, error) {
+	f, err := fs.FS.OpenAppend(path)
+	return noSyncFile{f}, err
+}
+
+// durableLogBytesFuzz builds a small complete durable log's bytes
+// (fingerprint "fp") without a *testing.T: two one-trace windows, each
+// followed by its checkpoint record, then the complete record.
+func durableLogBytesFuzz() []byte {
+	rng := rand.New(rand.NewSource(5))
+	var store HopStore
+	views := randomTraces(rng, &store, 2)
+	dir, err := os.MkdirTemp("", "segfuzz")
+	if err != nil {
+		return nil
 	}
-	f.Add(valid[:len(valid)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeManifest(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadManifest) {
-				t.Fatalf("unnamed manifest error: %v", err)
-			}
-			return
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "seed.seg")
+	w, err := CreateDurableSegmentLog(path, "fp", noSyncFS{segfault.OS})
+	if err != nil {
+		return nil
+	}
+	var syms logSyms
+	for i, tv := range views {
+		if syms.append(w, "sweep", tv) != nil || w.Checkpoint(i+1, json.RawMessage(`{"win":0}`)) != nil {
+			return nil
 		}
-		if m == nil {
-			t.Fatal("nil manifest with nil error")
-		}
-		if rt, err := DecodeManifest(encodeManifest(m)); err != nil || rt == nil {
-			t.Fatalf("accepted manifest failed round-trip: %v", err)
-		}
-		if got := new(manifestEncoder).encode(m); !bytes.Equal(got, encodeManifest(m)) {
-			t.Fatalf("manifest encoder diverged from MarshalIndent:\n%s", got)
-		}
-	})
+	}
+	if w.MarkComplete(len(views), nil) != nil || w.Close() != nil {
+		return nil
+	}
+	data, _ := os.ReadFile(path)
+	return data
 }
 
 // validLogBytesFuzz builds seed-corpus bytes without a *testing.T.

@@ -5,10 +5,10 @@
 // realistic timing relationships.
 //
 // Clocks are safe for concurrent use. The parallel probe scheduler
-// (internal/probesched) gives every job a private Fork of the campaign
-// clock and re-merges the elapsed virtual time in canonical job order,
-// so concurrent probes observe consistent virtual time regardless of
-// how the runtime interleaves them.
+// (internal/probesched) keeps one clock per worker, Resets it to the
+// batch start before each job, and re-merges the elapsed virtual time
+// in canonical job order, so concurrent probes observe consistent
+// virtual time regardless of how the runtime interleaves them.
 package vclock
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 // Clock is a monotonically advancing virtual clock. The zero Clock is
-// not usable; construct with New (or Fork an existing clock).
+// not usable; construct with New.
 //
 // The representation is a fixed base instant plus an atomic nanosecond
 // offset: reading and advancing are single atomic operations, which
@@ -73,13 +73,4 @@ func (c *Clock) Reset(t time.Time) {
 // Since reports the elapsed virtual time from t.
 func (c *Clock) Since(t time.Time) time.Duration {
 	return c.Now().Sub(t)
-}
-
-// Fork returns an independent child clock starting at this clock's
-// current instant. Advancing the child never moves the parent: the
-// scheduler accounts the child's elapsed time back into the parent
-// explicitly, in canonical job order, so campaign timing is independent
-// of goroutine interleaving.
-func (c *Clock) Fork() *Clock {
-	return New(c.Now())
 }
