@@ -92,14 +92,19 @@ race-regiond:
 # last window seal, inside a torn checkpoint record, and at a checkpoint
 # record's fsync — across window sizes and worker counts — then resumes
 # over the surviving spill directory with a cold simulator and requires
-# bit-identical golden digests. The traceroute tests pin the recovery
-# scan's classification of damaged windows and checkpoint records
-# (including a decode-and-recover fuzz corpus), and the segfault tests
-# pin the injected-fault filesystem's crash model itself. The chaossweep
-# smoke exercises the same guarantee through the real CLI binary.
+# bit-identical golden digests. The cancellation tests stop a durable
+# campaign mid-collection (it must return context.Canceled, keep its log
+# and resume onto the goldens) and a non-durable one (it must remove its
+# spill); the crash-error test requires an injected crash to come back
+# from RunContext as an error wrapping segfault.ErrCrash, writer closed.
+# The traceroute tests pin the recovery scan's classification of damaged
+# windows and checkpoint records (including a decode-and-recover fuzz
+# corpus), and the segfault tests pin the injected-fault filesystem's
+# crash model itself. The chaossweep smoke exercises the same guarantee
+# through the real CLI binary.
 crash:
 	$(GO) test ./internal/probesched/ -count=1 \
-		-run 'TestDurableCampaignMatchesGoldenDigest|TestDurableKillAndResumeGrid|TestDurableCompleteReplayMatchesGolden'
+		-run 'TestDurableCampaignMatchesGoldenDigest|TestDurableKillAndResumeGrid|TestDurableCompleteReplayMatchesGolden|TestDurableCancelMidCollectionResumes|TestWindowedCancelRemovesSpill|TestDurableCrashReturnsErrCrash'
 	$(GO) test ./internal/traceroute/ ./internal/segfault/ -count=1
 	$(GO) run ./cmd/chaossweep -kill-after 40 -trace-window 16
 
@@ -111,11 +116,13 @@ fib-diff:
 	$(GO) test ./internal/netsim/ -run 'TestTrieFIBMatchesMaskedReference|TestTrieFIBNetworkIntegration|FuzzTrieFIBDifferential' -count=1
 
 # Segment-decoder fuzz smoke: five seconds of coverage-guided mutation
-# over the spill-log frames. The decoder must reject arbitrary
-# corruption with its named errors, never a panic or an OOM-sized
-# allocation, and durable recovery over the same bytes must never panic
-# and keep only windows that decode; the seed corpus covers truncation,
-# CRC damage, count inflation, and durable logs with checkpoint records.
+# over the spill-log frames. Both decoders must reject arbitrary
+# corruption with their named errors, never a panic or an OOM-sized
+# allocation, and must agree on every input: Next and NextSyms both
+# accept it or both fail. Durable recovery over the same bytes must
+# never panic and keep only windows that decode; the seed corpus covers
+# truncation, CRC damage, count inflation, and durable logs with
+# checkpoint records.
 fuzz-seg:
 	$(GO) test ./internal/traceroute/ -run XXX -fuzz FuzzSegmentDecode -fuzztime 5s
 

@@ -245,25 +245,19 @@ func runKillResume(cfg cli.Config, isp string, killAfter int) int {
 		}
 		return hex.EncodeToString(sum[:]), resumed, nil
 	}
-	// crash runs the campaign expecting the injected plan to kill it;
-	// anything other than a segfault.ErrCrash unwind is a real failure.
-	crash := func(dir string, fsys segfault.FS) (err error) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if e, ok := r.(error); ok && errors.Is(e, segfault.ErrCrash) {
-				err = nil
-				return
-			}
-			panic(r)
-		}()
+	// crash runs the campaign expecting the injected plan to kill it:
+	// the campaign must fail with a segfault.ErrCrash, and any other
+	// outcome is a real failure.
+	crash := func(dir string, fsys segfault.FS) error {
 		stAny, err := core.NewStudy("cable", cfg.Seed, opts(dir, fsys)...)
 		if err != nil {
 			return err
 		}
-		if _, err := stAny.(*core.CableStudy).ResultContext(context.Background(), isp); err != nil {
+		_, err = stAny.(*core.CableStudy).ResultContext(context.Background(), isp)
+		switch {
+		case errors.Is(err, segfault.ErrCrash):
+			return nil
+		case err != nil:
 			return err
 		}
 		return fmt.Errorf("campaign survived -kill-after %d (too few spill fsyncs at window %d?)", killAfter, window)

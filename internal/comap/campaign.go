@@ -2,12 +2,10 @@ package comap
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/alias"
 	"repro/internal/dnsdb"
@@ -130,27 +128,32 @@ type Collection struct {
 	// AliasTargets is the address set fed to alias resolution.
 	AliasTargets []netip.Addr
 
-	// Stats is the campaign-wide probe-outcome ledger (traceroute and
-	// alias probes both land here); Sent == Replied + Lost + RateLimited
-	// always. TracesRun / EmptyTraces / TruncatedTraces count whole
-	// traces; HopRowsProbed / HopRowsAnswered count hop rows across all
-	// traces (answered/probed is the campaign's hop yield). Quarantined
-	// lists vantage points the circuit breaker benched. All of this is
-	// accounting only — it never feeds inference, and none of it enters
-	// the pinned campaign digests.
-	Stats           probesched.ProbeStats
-	TracesRun       int
-	EmptyTraces     int
-	TruncatedTraces int
-	HopRowsProbed   int
-	HopRowsAnswered int
-	Quarantined     []netip.Addr
+	// The probe ledger (Stats, TracesRun, ...; see probeLedger) and
+	// the vantage points the circuit breaker benched: accounting only.
+	probeLedger
+	Quarantined []netip.Addr
 
 	// Resumed reports what the durable spill log's recovery decided at
 	// startup (fresh, resumed at a checkpoint, or complete-replay); nil
 	// for non-durable campaigns. Accounting only — resumed campaigns
 	// reproduce the uninterrupted collection bit for bit.
 	Resumed *traceroute.Resume
+}
+
+// probeLedger is the campaign-wide probe-outcome ledger: traceroute and
+// alias probes both land in Stats (Sent == Replied + Lost + RateLimited
+// always); the trace counters count whole traces and the hop-row
+// counters hop rows (answered/probed is the hop yield). Accounting
+// only: none of it feeds inference or the pinned digests. Collection
+// and the checkpoint cursor embed it, so its field order is the
+// cursor's JSON layout.
+type probeLedger struct {
+	TracesRun       int                   `json:"traces_run"`
+	EmptyTraces     int                   `json:"empty_traces"`
+	TruncatedTraces int                   `json:"truncated_traces"`
+	HopRowsProbed   int                   `json:"hop_rows_probed"`
+	HopRowsAnswered int                   `json:"hop_rows_answered"`
+	Stats           probesched.ProbeStats `json:"stats"`
 }
 
 func (c *Campaign) defaults() {
@@ -162,384 +165,91 @@ func (c *Campaign) defaults() {
 	}
 }
 
-// engine builds a traceroute engine bound to the campaign clock.
-func (c *Campaign) engine() *traceroute.Engine {
-	eng := &traceroute.Engine{Net: c.Net, Clock: c.Clock, Attempts: 2, GapLimit: 5}
-	eng.ApplyResilience(c.Resilience)
-	return eng
-}
-
 // Run executes every collection stage and returns the raw observations.
 // Within a stage every traceroute is independent, so jobs are built in
 // canonical (target, VP-rotation) order, fanned across the probe
 // scheduler, and folded back in that same order; stages themselves stay
 // sequential barriers because each derives its target list from the
-// previous stage's observations.
+// previous stage's observations. Run panics with any error RunContext
+// returns (a background context never cancels, so that is a spill I/O
+// failure or an invalid Durable setting); callers that handle those
+// use RunContext.
 func (c *Campaign) Run() *Collection {
 	col, err := c.RunContext(context.Background())
 	if err != nil {
-		// Background contexts never cancel; keep the historical
-		// no-error signature for the callers that use it.
 		panic(fmt.Errorf("comap: campaign aborted: %w", err))
 	}
 	return col
 }
 
-// RunContext is Run with cooperative cancellation: the flush loop
-// checks ctx at every flush boundary and, once cancelled, stops before
-// submitting the next probe batch and returns ctx's error. The check
-// sits on batch boundaries only, so cancellation is digest-neutral —
-// whatever a cancelled campaign did probe is exactly the prefix an
-// uninterrupted run would have produced. A cancelled durable campaign
-// leaves its spill log, ending in its last checkpoint record, on disk,
-// so the next RunContext over the same SpillDir resumes where it
-// stopped; a cancelled non-durable campaign removes its spill (nothing
-// can use it).
+// RunContext is Run with cooperative cancellation: collection checks
+// ctx before each probe batch, so a cancelled campaign probed exactly a
+// prefix of the uninterrupted run. Every failure (cancellation, spill
+// I/O, an invalid Durable setting) is returned after one cleanup: a
+// durable campaign leaves its spill log, ending in its last checkpoint
+// record, for the next RunContext over the same SpillDir to resume; a
+// non-durable campaign removes its spill.
 func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) {
 	c.defaults()
-	col = &Collection{ids: map[netip.Addr]AddrID{}}
-	eng := c.engine()
 	pool := probesched.New(c.Parallelism, c.Clock)
-
-	// Windowed mode spills kept traces to a segment log as they fold in.
-	// Setup failures panic: a campaign that cannot open its spill file
-	// has no degraded mode to fall back to (silently going resident
-	// would defeat the caller's memory bound).
-	var writer *traceroute.SegmentWriter
-	var rs *resumeState
-	if c.Durable && c.TraceWindow <= 0 {
-		panic(fmt.Errorf("comap: Durable requires TraceWindow > 0 (only windowed campaigns spill)"))
-	}
-	if c.TraceWindow > 0 {
-		if c.Durable && c.SpillDir == "" {
-			panic(fmt.Errorf("comap: Durable requires an explicit SpillDir (an owned temp dir cannot be found again after a crash)"))
-		}
-		sp, err := newSpillArchive(c.SpillDir, c.spillName())
-		if err != nil {
-			panic(fmt.Errorf("comap: creating spill archive: %w", err))
-		}
-		col.spill = sp
-		if c.Durable {
-			fsys := c.SpillFS
-			if fsys == nil {
-				fsys = segfault.OS
-			}
-			w, res, err := traceroute.OpenDurableSegmentLog(sp.logPath, c.fingerprint(), fsys)
-			if err != nil {
-				// Leave the files: whatever is on disk stays resumable.
-				panic(fmt.Errorf("comap: opening durable spill log: %w", err))
-			}
-			writer = w
-			col.Resumed = res
-			if res.Resumed {
-				rs = &resumeState{
-					checkpoints: res.Checkpoints,
-					cursor:      logCursor{path: sp.logPath},
-				}
-			}
-		} else {
-			w, err := traceroute.CreateSegmentLog(sp.logPath)
-			if err != nil {
-				sp.Close()
-				panic(fmt.Errorf("comap: creating spill log: %w", err))
-			}
-			writer = w
-		}
-	}
-
-	// Cancellation unwinds as a panic from the flush loop; turn it back
-	// into an error here, closing the log file handle but leaving a
-	// durable campaign's spill state on disk for the resume.
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		cc, ok := r.(campaignCancelled)
-		if !ok {
-			panic(r)
-		}
-		if rs != nil {
-			rs.cursor.close()
-		}
-		if writer != nil {
-			writer.Close()
-		}
-		if !c.Durable {
-			col.spill.Close()
-		}
-		col, err = nil, cc.err
-	}()
-
-	// The /24 sweep dominates job volume, so its size (clamped by the
-	// probe budget) presizes the dedup set and job list: the dedup map
-	// showed up at ~30% of collection CPU in profiles, most of it
-	// incremental rehash growth.
 	var sweep []netip.Addr
 	for _, pfx := range c.Announced {
 		sweep = append(sweep, enumerate24s(pfx)...)
 	}
-	hint := len(sweep) * c.SweepVPs * 2
-	if c.MaxTraces > 0 && hint > c.MaxTraces*2 {
-		hint = c.MaxTraces * 2
+	k, err := c.newCollector(ctx, pool, len(sweep))
+	if err != nil {
+		return nil, err
 	}
-	// The dedup set keys IPv4 (src,dst) pairs through the shared
-	// prefixset.PairKey4 packing — injective, since each address is
-	// exactly its 32-bit value — which more than halves the set's
-	// footprint vs [2]netip.Addr keys (48-byte keys, most of it Addr
-	// internals). Non-IPv4 pairs (none in the cable campaigns, but the
-	// API allows them) fall back to a wide map.
-	seen := make(map[uint64]bool, hint) // packed (src,dst) pairs already traced
-	var seenWide map[[2]netip.Addr]bool
-	submitted := 0
-
-	// The circuit breaker benches dead VPs between stages: Record runs
-	// only on the in-order fold goroutine, and Quarantined is consulted
-	// only while building the next stage's job list (stages are
-	// sequential barriers), so its decisions are worker-count invariant.
-	breaker := probesched.NewBreaker(c.Resilience.BreakerThreshold)
-
-	// Windowed mode also bounds the pending-job list: instead of
-	// accumulating a whole stage's jobs before scheduling, the list
-	// drains through the scheduler every few windows' worth. Fault-free
-	// probing is time-independent (replies are pure functions of seed
-	// and flow), so splitting a stage into several scheduler batches
-	// folds the identical trace sequence and advances the clock by the
-	// identical total — the windowed golden tests pin this. Resident
-	// mode keeps the one-batch-per-stage shape (under an active fault
-	// plan, batch boundaries are clock-visible).
-	jobFlushEvery := 0
-	jobsCap := hint / 2
-	if c.TraceWindow > 0 {
-		jobFlushEvery = 4 * c.TraceWindow
-		if jobFlushEvery < 1024 {
-			jobFlushEvery = 1024
+	defer func() {
+		if col == nil { // an error return, or a panic unwinding
+			k.release()
 		}
-		if jobsCap > jobFlushEvery {
-			jobsCap = jobFlushEvery
-		}
-	}
-	jobs := make([]probesched.Request, 0, jobsCap)
-	curStage := ""
-	var flush func()
-	add := func(src, dst netip.Addr) {
-		if c.MaxTraces > 0 && submitted+len(jobs) >= c.MaxTraces {
-			return
-		}
-		if breaker.Quarantined(src) {
-			return
-		}
-		if key, ok := prefixset.PairKey4(src, dst); ok {
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-		} else {
-			if seenWide == nil {
-				seenWide = map[[2]netip.Addr]bool{}
-			}
-			key := [2]netip.Addr{src, dst}
-			if seenWide[key] {
-				return
-			}
-			seenWide[key] = true
-		}
-		jobs = append(jobs, probesched.Request{Src: src, Dst: dst})
-		if jobFlushEvery > 0 && len(jobs) >= jobFlushEvery {
-			flush()
-		}
-	}
-	// keepTrace projects a trace onto its responsive hops (with gap
-	// flags) in reused scratch and files it into the archive, returning
-	// the trace's AddrIDs (see Collection.keep). Hop rows live in the
-	// chunk's (or the recovered segment's) columnar store, valid exactly
-	// for the fold call.
-	var hopBuf []netip.Addr
-	var gapBuf []bool
-	var idBuf []AddrID
-	keepTrace := func(stage string, tv *traceroute.TraceView) (src, dst AddrID, hops []AddrID) {
-		hopBuf, gapBuf = hopBuf[:0], gapBuf[:0]
-		gap := false
-		for k := 0; k < tv.NumHops(); k++ {
-			if !tv.HopResponded(k) {
-				gap = true
-				continue
-			}
-			hopBuf = append(hopBuf, tv.Hop(k).Addr)
-			gapBuf = append(gapBuf, gap)
-			gap = false
-		}
-		src, dst, idBuf = col.keep(stage, tv.Src, tv.Dst, tv.Reached, hopBuf, gapBuf, idBuf)
-		return src, dst, idBuf
-	}
-
-	// Durable campaigns track the flush schedule: flushOrdinal counts
-	// completed flushes (live or restored), and lastCursor is the most
-	// recent checkpoint state, re-used by MarkComplete.
-	flushOrdinal := 0
-	var lastCursor resumeCursor
-	takeCursor := func(stage string) resumeCursor {
-		return resumeCursor{
-			Stage:           stage,
-			Flush:           flushOrdinal,
-			Submitted:       submitted,
-			ClockNS:         c.Clock.Now().UnixNano(),
-			TracesRun:       col.TracesRun,
-			EmptyTraces:     col.EmptyTraces,
-			TruncatedTraces: col.TruncatedTraces,
-			HopRowsProbed:   col.HopRowsProbed,
-			HopRowsAnswered: col.HopRowsAnswered,
-			Stats:           col.Stats,
-			Paths:           col.NumPaths(),
-			Breaker:         breaker.State(),
-		}
-	}
-
-	// flush runs the accumulated jobs through the scheduler, streaming
-	// each trace into the collection in submission order while later
-	// jobs are still probing (traceroute.FoldTraces). Every kept trace
-	// is interned into the archive's AddrID table; windowed mode then
-	// encodes it into the spill log instead of a resident window, and
-	// the scheduler's backpressure keeps in-flight chunks bounded while
-	// this fold writes to disk.
-	//
-	// Durable mode adds two behaviors at the flush boundary. Going in,
-	// a flush whose ordinal has a surviving checkpoint is *restored*
-	// instead of probed: its traces are already in the recovered log,
-	// so the flush drops the (identically regenerated) job batch,
-	// re-interns the log's traces into the AddrID table (the same IDs
-	// in the same order), streams them through the simulator's IP-ID
-	// warm-up, and restores the checkpoint cursor. Going out, a
-	// live flush seals the open window and checkpoints the new cursor,
-	// making everything up to this boundary crash-recoverable.
-	flush = func() {
-		if cerr := ctx.Err(); cerr != nil {
-			// The pending batch was never submitted; the previous flush's
-			// checkpoint already covers everything probed so far.
-			panic(campaignCancelled{cerr})
-		}
-		stage := curStage
-		if rs != nil && flushOrdinal < len(rs.checkpoints) {
-			chk := rs.checkpoints[flushOrdinal]
-			var cur resumeCursor
-			if jerr := json.Unmarshal(chk.State, &cur); jerr != nil {
-				panic(fmt.Errorf("comap: decoding resume checkpoint %d: %w", flushOrdinal, jerr))
-			}
-			if cur.Flush != flushOrdinal+1 || cur.Stage != stage ||
-				cur.Submitted != submitted+len(jobs) || cur.Paths != chk.Paths {
-				panic(fmt.Errorf("comap: resume regeneration diverged at flush %d (stage %q->%q, submitted %d->%d): refusing to replay a log this configuration did not write",
-					flushOrdinal, cur.Stage, stage, cur.Submitted, submitted+len(jobs)))
-			}
-			submitted += len(jobs)
-			jobs = jobs[:0]
-			rs.cursor.advanceTo(chk.Paths, func(tv traceroute.TraceView, stage string) {
-				keepTrace(stage, &tv)
-				for k := 0; k < tv.NumHops(); k++ {
-					if !tv.HopResponded(k) {
-						continue
-					}
-					h := tv.Hop(k)
-					c.Net.WarmReply(h.Addr, h.TTL == 1, h.Type == netsim.TTLExceeded)
-				}
-			})
-			if col.nPaths != chk.Paths {
-				panic(fmt.Errorf("comap: recovered log holds %d paths, checkpoint %d expects %d", col.nPaths, flushOrdinal, chk.Paths))
-			}
-			col.TracesRun = cur.TracesRun
-			col.EmptyTraces = cur.EmptyTraces
-			col.TruncatedTraces = cur.TruncatedTraces
-			col.HopRowsProbed = cur.HopRowsProbed
-			col.HopRowsAnswered = cur.HopRowsAnswered
-			col.Stats = cur.Stats
-			breaker.Restore(cur.Breaker)
-			c.Clock.AdvanceTo(time.Unix(0, cur.ClockNS))
-			lastCursor = cur
-			flushOrdinal++
-			return
-		}
-		if rs != nil {
-			// First live flush: every restored flush precedes it, so the
-			// recovered-log read cursor is spent.
-			rs.cursor.close()
-			if writer == nil {
-				panic(fmt.Errorf("comap: complete recovered log but regeneration wants to probe at flush %d: regeneration diverged", flushOrdinal))
-			}
-		}
-		submitted += len(jobs)
-		eng.FoldTraces(pool, jobs, func(_ int, tv traceroute.TraceView) {
-			// Count responsive hops first: all-timeout traces (most of
-			// the /24 sweep) are dropped without touching the archive.
-			n := tv.NumHops()
-			resp := 0
-			for k := 0; k < n; k++ {
-				if tv.HopResponded(k) {
-					resp++
-				}
-			}
-			col.TracesRun++
-			col.Stats.Add(tv.Stats())
-			col.HopRowsProbed += n
-			col.HopRowsAnswered += resp
-			if tv.Truncated {
-				col.TruncatedTraces++
-			}
-			breaker.Record(tv.Src, resp == 0)
-			if resp == 0 {
-				col.EmptyTraces++
-				return
-			}
-			src, dst, hops := keepTrace(stage, &tv)
-			if writer != nil {
-				// The log's symbols are the archive's AddrIDs (both are
-				// first-seen over the same kept traces), so the writer
-				// takes the IDs keep just assigned.
-				if err := writer.Append(stage, tv, src, dst, hops); err != nil {
-					panic(fmt.Errorf("comap: spilling trace: %w", err))
-				}
-				if writer.Count() >= c.TraceWindow {
-					if err := writer.Seal(); err != nil {
-						panic(fmt.Errorf("comap: sealing window: %w", err))
-					}
-				}
-			}
-		})
-		jobs = jobs[:0]
-		flushOrdinal++
-		if c.Durable && writer != nil {
-			// Seal the open window (Checkpoint seals first) and publish
-			// the cursor: the durability boundary every crash between
-			// here and the next checkpoint rolls back to. Extra seals at
-			// flush boundaries are replay-neutral — window layout never
-			// enters the digests.
-			lastCursor = takeCursor(stage)
-			buf, merr := json.Marshal(lastCursor)
-			if merr != nil {
-				panic(fmt.Errorf("comap: encoding resume cursor: %w", merr))
-			}
-			if cerr := writer.Checkpoint(col.nPaths, buf); cerr != nil {
-				panic(fmt.Errorf("comap: checkpointing spill log: %w", cerr))
-			}
-		}
-	}
+	}()
 
 	// Stage 1: traceroute to an address in every /24 of the announced
 	// space to expose at least one router per EdgeCO.
-	curStage = "sweep"
-	for i, dst := range sweep {
-		for k := 0; k < c.SweepVPs && k < len(c.VPs); k++ {
-			add(c.VPs[(i+k*7)%len(c.VPs)], dst)
+	if err := k.probe("sweep", sweep, c.SweepVPs, 7); err != nil {
+		return nil, err
+	}
+	// Stage 2: traceroute to every address whose snapshot rDNS matches
+	// the operator's router-name regexes.
+	k.col.ScanTargets = c.scanTargets(pool)
+	if !c.SkipDirectTargeting {
+		if err := k.probe("direct", k.col.ScanTargets, c.TargetVPs, 11); err != nil {
+			return nil, err
 		}
 	}
-	flush()
+	// Stage 3: traceroute to every intermediate address observed, to
+	// reveal MPLS tunnel interiors (Vanaubel et al.), then flag tunnel
+	// entry/exit pairs as false links once the archive is complete.
+	if !c.SkipMPLSPass {
+		if err := k.probe("mpls", observedTargets(k.col), 3, 13); err != nil {
+			return nil, err
+		}
+	}
+	if err := k.finish(); err != nil {
+		return nil, err
+	}
+	if !c.SkipMPLSPass {
+		findFalsePairs(k.col, pool)
+	}
+	if !c.SkipAlias {
+		c.resolveAliases(k.col, pool)
+	}
+	k.col.Quarantined = k.breaker.QuarantinedVPs()
+	k.col.ids = nil
+	return k.col, nil
+}
 
-	// Stage 2: traceroute to every address whose snapshot rDNS matches
-	// the operator's router-name regexes. Both the regex scan and the
-	// hostname-grammar sweep shard across the campaign workers; shard
-	// hit lists concatenate in shard order, preserving the
-	// address-sorted target order the probe schedule depends on.
+// scanTargets lists the snapshot addresses whose rDNS matches the
+// operator's router-name regexes and parses under its hostname grammar.
+// Both the regex scan and the grammar sweep shard across the campaign
+// workers; shard hit lists concatenate in shard order, preserving the
+// address-sorted target order the probe schedule depends on.
+func (c *Campaign) scanTargets(pool *probesched.Pool) []netip.Addr {
 	re := hostnames.TargetRegex(c.ISP)
 	scan := c.DNS.ScanSnapshotParallel(re, c.Parallelism)
-	col.ScanTargets = probesched.Reduce(pool, len(scan),
+	return probesched.Reduce(pool, len(scan),
 		func() []netip.Addr { return nil },
 		func(out []netip.Addr, i int) []netip.Addr {
 			if _, ok := hostnames.Parse(scan[i].Name); ok {
@@ -548,91 +258,40 @@ func (c *Campaign) RunContext(ctx context.Context) (col *Collection, err error) 
 			return out
 		},
 		func(into, from []netip.Addr) []netip.Addr { return append(into, from...) })
-	if !c.SkipDirectTargeting {
-		curStage = "direct"
-		for i, dst := range col.ScanTargets {
-			for k := 0; k < c.TargetVPs && k < len(c.VPs); k++ {
-				add(c.VPs[(i+k*11)%len(c.VPs)], dst)
-			}
-		}
-		flush()
-	}
+}
 
-	// Stage 3: traceroute to every intermediate address observed, to
-	// reveal MPLS tunnel interiors (Vanaubel et al.), then flag tunnel
-	// entry/exit pairs as false links. The observed set goes through
-	// the prefix-set engine: canonical iteration IS ascending address
-	// order (v4 before v6, same as the sort it replaces), with no
-	// intermediate slice to sort.
-	if !c.SkipMPLSPass {
-		curStage = "mpls"
-		obs := prefixset.NewSet()
-		col.eachObserved(func(a netip.Addr) { obs.AddAddr(a) })
-		inter := obs.Addrs()
-		for i, dst := range inter {
-			for k := 0; k < 3 && k < len(c.VPs); k++ {
-				add(c.VPs[(i+k*13)%len(c.VPs)], dst)
-			}
-		}
-		flush()
-	}
-	// The archive is complete: seal and close the spill log before the
-	// first replaying pass (findFalsePairs and everything downstream).
-	// Durable campaigns append the complete record first, so a crash
-	// from here on resumes as a pure replay with no re-collection.
-	if rs != nil {
-		rs.cursor.close()
-	}
-	if writer != nil {
-		if c.Durable {
-			buf, merr := json.Marshal(lastCursor)
-			if merr != nil {
-				panic(fmt.Errorf("comap: encoding resume cursor: %w", merr))
-			}
-			if cerr := writer.MarkComplete(col.nPaths, buf); cerr != nil {
-				panic(fmt.Errorf("comap: completing spill log: %w", cerr))
-			}
-		}
-		if err := writer.Close(); err != nil {
-			panic(fmt.Errorf("comap: closing spill log: %w", err))
-		}
-	}
-	// Post-collection passes run on the (now durable) archive; a cancel
-	// landing here still aborts promptly, and a durable campaign
-	// resumes as a complete-replay.
-	if cerr := ctx.Err(); cerr != nil {
-		panic(campaignCancelled{cerr})
-	}
-	if !c.SkipMPLSPass {
-		findFalsePairs(col, pool)
-	}
+// observedTargets lists every address observed so far in ascending
+// order, the MPLS pass's targets. The prefix-set engine's canonical
+// iteration IS ascending address order (v4 before v6), with no
+// intermediate slice to sort.
+func observedTargets(col *Collection) []netip.Addr {
+	obs := prefixset.NewSet()
+	col.eachObserved(func(a netip.Addr) { obs.AddAddr(a) })
+	return obs.Addrs()
+}
 
-	// Alias resolution over the rDNS-selected addresses, every observed
-	// operator address, and their /30 subnet neighbors (Appendix B.1).
-	// Mercator probing runs globally; the IP-ID stage runs per regional
-	// network, as the paper does ("all IP addresses routed by each
-	// regional network"), which also keeps counter-projection collisions
-	// rare.
-	if !c.SkipAlias {
-		col.AliasTargets = c.aliasTargets(col)
-		res := alias.NewResult()
-		resolver := &alias.Resolver{
-			Net: c.Net, Clock: c.Clock, VP: c.VPs[0],
-			Parallelism: c.Parallelism,
-			Stats:       &col.Stats,
-		}
-		resolver.MercatorInto(col.AliasTargets, res)
-		for _, part := range c.partitionByRegion(col, pool) {
-			resolver.MIDARInto(part, res)
-		}
-		// All evidence is in; drop the per-target union-find state so a
-		// retained collection holds only the multi-member groups.
-		res.Compact()
-		col.Aliases = res
+// resolveAliases runs alias resolution over the rDNS-selected
+// addresses, every observed operator address, and their /30 subnet
+// neighbors (Appendix B.1). Mercator probing runs globally; the IP-ID
+// stage runs per regional network, as the paper does ("all IP
+// addresses routed by each regional network"), which also keeps
+// counter-projection collisions rare.
+func (c *Campaign) resolveAliases(col *Collection, pool *probesched.Pool) {
+	col.AliasTargets = c.aliasTargets(col)
+	res := alias.NewResult()
+	resolver := &alias.Resolver{
+		Net: c.Net, Clock: c.Clock, VP: c.VPs[0],
+		Parallelism: c.Parallelism,
+		Stats:       &col.Stats,
 	}
-	col.Quarantined = breaker.QuarantinedVPs()
-	col.ids = nil
-	return col, nil
+	resolver.MercatorInto(col.AliasTargets, res)
+	for _, part := range c.partitionByRegion(col, pool) {
+		resolver.MIDARInto(part, res)
+	}
+	// All evidence is in; drop the per-target union-find state so a
+	// retained collection holds only the multi-member groups.
+	res.Compact()
+	col.Aliases = res
 }
 
 // partitionByRegion splits the alias targets by regional network: named

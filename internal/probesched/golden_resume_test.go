@@ -1,10 +1,13 @@
 package probesched_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -76,20 +79,17 @@ func checkGolden(t *testing.T, label string, campaign, aliasd, graph [32]byte) {
 }
 
 // crashDurable runs the campaign expecting its injected crash plan to
-// fire; the unwound panic must classify as segfault.ErrCrash.
+// fire; the returned error must classify as segfault.ErrCrash.
 func crashDurable(t *testing.T, c *comap.Campaign) {
 	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("campaign survived its crash plan")
-		}
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, segfault.ErrCrash) {
-			t.Fatalf("campaign died with %v, want a segfault.ErrCrash", r)
-		}
-	}()
-	comap.Run(c)
+	res, err := comap.RunContext(context.Background(), c)
+	if err == nil {
+		res.Close()
+		t.Fatalf("campaign survived its crash plan")
+	}
+	if !errors.Is(err, segfault.ErrCrash) {
+		t.Fatalf("campaign died with %v, want a segfault.ErrCrash", err)
+	}
 }
 
 // TestDurableCampaignMatchesGoldenDigest pins that turning durability
@@ -200,4 +200,150 @@ func TestDurableCompleteReplayMatchesGolden(t *testing.T) {
 		t.Fatalf("second run over a complete log reported %+v, want complete replay", resumed)
 	}
 	checkGolden(t, "complete-replay second run", campaign, aliasd, graph)
+}
+
+// hookFS is the real filesystem behind two test hooks: it calls onSync
+// at the at-th file Sync, and counts the files it opened that are still
+// open (a campaign that returns must have closed its spill writer).
+type hookFS struct {
+	segfault.FS
+	at     int
+	onSync func()
+	syncs  int
+	open   int
+}
+
+type hookFile struct {
+	segfault.File
+	fs *hookFS
+}
+
+func (fs *hookFS) Create(path string) (segfault.File, error) {
+	return fs.track(fs.FS.Create(path))
+}
+
+func (fs *hookFS) OpenAppend(path string) (segfault.File, error) {
+	return fs.track(fs.FS.OpenAppend(path))
+}
+
+func (fs *hookFS) track(f segfault.File, err error) (segfault.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	fs.open++
+	return &hookFile{File: f, fs: fs}, nil
+}
+
+func (f *hookFile) Sync() error {
+	f.fs.syncs++
+	if f.fs.syncs == f.fs.at && f.fs.onSync != nil {
+		f.fs.onSync()
+	}
+	return f.File.Sync()
+}
+
+func (f *hookFile) Close() error {
+	f.fs.open--
+	return f.File.Close()
+}
+
+// countSyncs runs one uninterrupted durable collection at window and
+// returns how many log syncs it performed.
+func countSyncs(t *testing.T, window int) int {
+	t.Helper()
+	meter := &hookFS{FS: segfault.OS}
+	col := durableQuickstart(4, window, t.TempDir(), meter).Run()
+	if err := col.Close(); err != nil {
+		t.Fatalf("closing instrumented collection: %v", err)
+	}
+	return meter.syncs
+}
+
+// TestDurableCancelMidCollectionResumes cancels a durable campaign
+// from inside its collection (at a log sync halfway through) and
+// requires RunContext to return context.Canceled with its writer
+// closed and its log on disk, and a rerun over that log with a freshly
+// built scenario to resume and hit the golden digests.
+func TestDurableCancelMidCollectionResumes(t *testing.T) {
+	const window = 16
+	syncs := countSyncs(t, window)
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fs := &hookFS{FS: segfault.OS, at: syncs / 2, onSync: cancel}
+	col, err := durableQuickstart(4, window, dir, fs).RunContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		if col != nil {
+			col.Close()
+		}
+		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+	if fs.open != 0 {
+		t.Fatalf("cancelled campaign left %d spill files open", fs.open)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "traces-comcast.seg")); err != nil || fi.Size() == 0 {
+		t.Fatalf("cancelled durable campaign did not leave its log: %v", err)
+	}
+	campaign, aliasd, graph, resumed := runDurablePipeline(t, durableQuickstart(4, window, dir, nil), true)
+	if resumed == nil || !resumed.Resumed || resumed.Complete {
+		t.Fatalf("rerun after a mid-collection cancel reported %+v, want a checkpoint resume", resumed)
+	}
+	checkGolden(t, "resume after cancel", campaign, aliasd, graph)
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// n-th call on. Collection checks Err once per flush, so it cancels a
+// campaign between two given flushes without any filesystem hook
+// (a non-durable spill never reaches SpillFS).
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestWindowedCancelRemovesSpill cancels a non-durable windowed
+// campaign at its second flush, after the first flush has spilled
+// traces, and requires the campaign to remove its spill file: nothing
+// can resume a non-durable log.
+func TestWindowedCancelRemovesSpill(t *testing.T) {
+	dir := t.TempDir()
+	c := quickstartCampaign(4)
+	c.TraceWindow, c.SpillDir = 16, dir
+	col, err := c.RunContext(&cancelAfter{Context: context.Background(), n: 2})
+	if !errors.Is(err, context.Canceled) {
+		if col != nil {
+			col.Close()
+		}
+		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("cancelled non-durable campaign left %d spill files: %s", len(left), left[0].Name())
+	}
+}
+
+// TestDurableCrashReturnsErrCrash pins how a spill I/O failure leaves
+// the campaign: RunContext returns an error wrapping the injected
+// segfault.ErrCrash (no panic) after closing its spill writer.
+func TestDurableCrashReturnsErrCrash(t *testing.T) {
+	fs := &hookFS{FS: segfault.Inject(segfault.OS, segfault.Plan{Seed: 106, CrashOnLogSync: 5})}
+	col, err := durableQuickstart(4, 16, t.TempDir(), fs).RunContext(context.Background())
+	if !errors.Is(err, segfault.ErrCrash) {
+		if col != nil {
+			col.Close()
+		}
+		t.Fatalf("crashed campaign returned %v, want a segfault.ErrCrash", err)
+	}
+	if fs.open != 0 {
+		t.Fatalf("crashed campaign left %d spill files open", fs.open)
+	}
 }

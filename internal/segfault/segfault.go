@@ -13,8 +13,9 @@
 // crash point, every subsequent operation on the filesystem fails with
 // ErrCrash, the way a dead process stops issuing syscalls. Callers
 // simulate process death by letting the error propagate (the campaign
-// engine panics on spill errors), recovering, and reopening the spill
-// through a fresh FS — exactly the sequence a real restart performs.
+// engine returns spill errors from Campaign.RunContext, wrapping
+// ErrCrash) and reopening the spill through a fresh FS — exactly the
+// sequence a real restart performs.
 package segfault
 
 import (

@@ -626,74 +626,110 @@ func (r *SegmentReader) decodeHead(b []byte) (stage []byte, traceCount uint64, r
 	return stage, traceCount, remap, b, nil
 }
 
-// traceHead is one trace body's fixed fields, in wire order: the
-// endpoint symbols (local symbol plus one, 0 for the invalid address),
-// the flags byte (bit 0 reached, bit 1 truncated), the ledger (FlowID,
-// Probes, Replied, Lost, RateLimited, Retries, ActiveTime) and the hop
-// row count. Append writes this layout; readTraceHead and readHopRow
-// are its only readers.
-type traceHead struct {
-	src, dst uint64
+// frameWalk is the one validating walk over a window's trace bodies:
+// Next (decodePayload) and NextSyms (decodeSyms) both decode through
+// it, so they accept exactly the same frames — the frames Append
+// writes, in which every endpoint and every responsive hop carries a
+// nonzero in-range symbol (local symbol plus one) and every timeout hop
+// carries 0. trace decodes a trace's fixed fields (endpoints, the flags
+// byte — bit 0 reached, bit 1 truncated — the ledger FlowID, Probes,
+// Replied, Lost, RateLimited, Retries, ActiveTime, and the hop row
+// count); hop decodes one hop row (symbol, TTL, RTT, reply type, reply
+// TTL). Both leave the fields in the walk, symbols resolved to
+// log-global ones.
+type frameWalk struct {
+	b     []byte
+	remap []symtab.Sym
+
+	src, dst uint32
 	flags    byte
 	ledger   [7]uint64
 	numHops  uint64
+
+	// sym is the hop's global symbol; zero for a timeout hop.
+	sym      uint32
+	ttl, rtt uint64
+	typ      netsim.ReplyType
+	replyTTL uint8
 }
 
-// readTraceHead decodes a trace body's fixed fields from the front of
-// b and returns the rest (the hop rows onward).
-func readTraceHead(b []byte, h *traceHead) ([]byte, error) {
+// trace decodes the next trace's fixed fields.
+func (w *frameWalk) trace() error {
+	var src, dst uint64
 	var err error
-	if h.src, b, err = uv(b); err != nil {
-		return nil, err
+	if src, w.b, err = uv(w.b); err != nil {
+		return err
 	}
-	if h.dst, b, err = uv(b); err != nil {
-		return nil, err
+	if dst, w.b, err = uv(w.b); err != nil {
+		return err
 	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("%w: missing flags", ErrCorruptSegment)
+	if len(w.b) < 1 {
+		return fmt.Errorf("%w: missing flags", ErrCorruptSegment)
 	}
-	h.flags = b[0]
-	b = b[1:]
-	for f := range h.ledger {
-		if h.ledger[f], b, err = uv(b); err != nil {
-			return nil, err
+	w.flags = w.b[0]
+	w.b = w.b[1:]
+	for f := range w.ledger {
+		if w.ledger[f], w.b, err = uv(w.b); err != nil {
+			return err
 		}
 	}
-	if h.numHops, b, err = uv(b); err != nil {
-		return nil, err
+	if w.numHops, w.b, err = uv(w.b); err != nil {
+		return err
 	}
-	if h.numHops > uint64(len(b)/4)+1 {
-		return nil, fmt.Errorf("%w: %d hops in %d bytes", ErrCorruptSegment, h.numHops, len(b))
+	if w.numHops > uint64(len(w.b)/4)+1 {
+		return fmt.Errorf("%w: %d hops in %d bytes", ErrCorruptSegment, w.numHops, len(w.b))
 	}
-	return b, nil
+	if w.src, err = w.global(src); err != nil {
+		return err
+	}
+	w.dst, err = w.global(dst)
+	return err
 }
 
-// hopRow is one hop row, in wire order: the address symbol (plus one,
-// as in traceHead), TTL, RTT, reply type and reply TTL.
-type hopRow struct {
-	sym, ttl, rtt uint64
-	typ           netsim.ReplyType
-	replyTTL      uint8
-}
-
-// readHopRow decodes one hop row from the front of b and returns the
-// rest.
-func readHopRow(b []byte, h *hopRow) ([]byte, error) {
+// hop decodes the current trace's next hop row.
+func (w *frameWalk) hop() error {
+	var sym uint64
 	var err error
-	if h.sym, b, err = uv(b); err != nil {
-		return nil, err
+	if sym, w.b, err = uv(w.b); err != nil {
+		return err
 	}
-	if h.ttl, b, err = uv(b); err != nil {
-		return nil, err
+	if w.ttl, w.b, err = uv(w.b); err != nil {
+		return err
 	}
-	if h.rtt, b, err = uv(b); err != nil {
-		return nil, err
+	if w.rtt, w.b, err = uv(w.b); err != nil {
+		return err
 	}
-	if len(b) < 2 {
-		return nil, fmt.Errorf("%w: short hop row", ErrCorruptSegment)
+	if len(w.b) < 2 {
+		return fmt.Errorf("%w: short hop row", ErrCorruptSegment)
 	}
-	h.typ, h.replyTTL = netsim.ReplyType(b[0]), b[1]
-	return b[2:], nil
+	w.typ, w.replyTTL = netsim.ReplyType(w.b[0]), w.b[1]
+	w.b = w.b[2:]
+	if w.typ == netsim.Timeout {
+		w.sym = 0
+		if sym != 0 {
+			return fmt.Errorf("%w: timeout hop carries address sym %d", ErrCorruptSegment, sym)
+		}
+		return nil
+	}
+	w.sym, err = w.global(sym)
+	return err
+}
+
+// global resolves a wire symbol (local symbol plus one) to its global
+// symbol; 0 and out-of-range symbols are corrupt.
+func (w *frameWalk) global(v uint64) (uint32, error) {
+	if v == 0 || v-1 >= uint64(len(w.remap)) {
+		return 0, fmt.Errorf("%w: address sym %d of %d", ErrCorruptSegment, v, len(w.remap))
+	}
+	return uint32(w.remap[v-1]), nil
+}
+
+// end checks that the walk consumed the whole payload.
+func (w *frameWalk) end() error {
+	if len(w.b) != 0 {
+		return fmt.Errorf("%w: %d undecoded payload bytes", ErrCorruptSegment, len(w.b))
+	}
+	return nil
 }
 
 func (r *SegmentReader) decodePayload(b []byte, seg *Segment) error {
@@ -703,55 +739,37 @@ func (r *SegmentReader) decodePayload(b []byte, seg *Segment) error {
 		return err
 	}
 	seg.Stage = string(stage)
-	addrOf := func(v uint64) (netip.Addr, error) {
-		if v == 0 {
-			return netip.Addr{}, nil
-		}
-		if v-1 >= uint64(len(remap)) {
-			return netip.Addr{}, fmt.Errorf("%w: local sym %d of %d", ErrCorruptSegment, v-1, len(remap))
-		}
-		return r.addrs[remap[v-1]], nil
-	}
-	var th traceHead
-	var row hopRow
+	w := frameWalk{b: b, remap: remap}
 	for t := uint64(0); t < traceCount; t++ {
-		if b, err = readTraceHead(b, &th); err != nil {
-			return err
-		}
-		tr := Trace{
-			Reached:     th.flags&1 != 0,
-			Truncated:   th.flags&2 != 0,
-			FlowID:      uint16(th.ledger[0]),
-			Probes:      int(th.ledger[1]),
-			Replied:     int(th.ledger[2]),
-			Lost:        int(th.ledger[3]),
-			RateLimited: int(th.ledger[4]),
-			Retries:     int(th.ledger[5]),
-			ActiveTime:  time.Duration(th.ledger[6]),
-		}
-		if tr.Src, err = addrOf(th.src); err != nil {
-			return err
-		}
-		if tr.Dst, err = addrOf(th.dst); err != nil {
+		if err := w.trace(); err != nil {
 			return err
 		}
 		seg.los = append(seg.los, int32(seg.store.Len()))
-		for k := uint64(0); k < th.numHops; k++ {
-			if b, err = readHopRow(b, &row); err != nil {
+		for k := uint64(0); k < w.numHops; k++ {
+			if err := w.hop(); err != nil {
 				return err
 			}
-			h := Hop{TTL: int(row.ttl), RTT: time.Duration(row.rtt), Type: row.typ, ReplyTTL: row.replyTTL}
-			if h.Addr, err = addrOf(row.sym); err != nil {
-				return err
+			h := Hop{TTL: int(w.ttl), RTT: time.Duration(w.rtt), Type: w.typ, ReplyTTL: w.replyTTL}
+			if w.typ != netsim.Timeout {
+				h.Addr = r.addrs[w.sym]
 			}
 			seg.store.push(h)
 		}
-		seg.traces = append(seg.traces, tr)
+		seg.traces = append(seg.traces, Trace{
+			Src:         r.addrs[w.src],
+			Dst:         r.addrs[w.dst],
+			Reached:     w.flags&1 != 0,
+			Truncated:   w.flags&2 != 0,
+			FlowID:      uint16(w.ledger[0]),
+			Probes:      int(w.ledger[1]),
+			Replied:     int(w.ledger[2]),
+			Lost:        int(w.ledger[3]),
+			RateLimited: int(w.ledger[4]),
+			Retries:     int(w.ledger[5]),
+			ActiveTime:  time.Duration(w.ledger[6]),
+		})
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d undecoded payload bytes", ErrCorruptSegment, len(b))
-	}
-	return nil
+	return w.end()
 }
 
 // SymWindow is a window of traces in interned columnar form: each
@@ -790,7 +808,8 @@ func (r *SegmentReader) Addrs() []netip.Addr { return r.addrs }
 
 // NextSyms decodes the next window into w in symbol form (see
 // SymWindow), resetting w first. It validates exactly what Next
-// validates and returns false with a nil error at a clean end of log.
+// validates (both decode through frameWalk) and returns false with a
+// nil error at a clean end of log.
 func (r *SegmentReader) NextSyms(w *SymWindow) (bool, error) {
 	payload, ok, err := r.window()
 	if !ok || err != nil {
@@ -803,57 +822,35 @@ func (r *SegmentReader) NextSyms(w *SymWindow) (bool, error) {
 	return true, nil
 }
 
-func (r *SegmentReader) decodeSyms(b []byte, w *SymWindow) error {
-	w.Reset()
+func (r *SegmentReader) decodeSyms(b []byte, sw *SymWindow) error {
+	sw.Reset()
 	stage, traceCount, remap, b, err := r.decodeHead(b)
 	if err != nil {
 		return err
 	}
-	w.Stage = string(stage)
-	symOf := func(v uint64) (uint32, error) {
-		if v == 0 || v-1 >= uint64(len(remap)) {
-			return 0, fmt.Errorf("%w: address sym %d of %d", ErrCorruptSegment, v, len(remap))
-		}
-		return uint32(remap[v-1]), nil
-	}
-	var th traceHead
-	var row hopRow
+	sw.Stage = string(stage)
+	w := frameWalk{b: b, remap: remap}
 	for t := uint64(0); t < traceCount; t++ {
-		if b, err = readTraceHead(b, &th); err != nil {
-			return err
-		}
-		src, err := symOf(th.src)
-		if err != nil {
-			return err
-		}
-		dst, err := symOf(th.dst)
-		if err != nil {
+		if err := w.trace(); err != nil {
 			return err
 		}
 		gap := false
-		for k := uint64(0); k < th.numHops; k++ {
-			if b, err = readHopRow(b, &row); err != nil {
+		for k := uint64(0); k < w.numHops; k++ {
+			if err := w.hop(); err != nil {
 				return err
 			}
-			if row.typ == netsim.Timeout {
+			if w.typ == netsim.Timeout {
 				gap = true
 				continue
 			}
-			s, err := symOf(row.sym)
-			if err != nil {
-				return err
-			}
-			w.Hops = append(w.Hops, s)
-			w.Gaps = append(w.Gaps, gap)
+			sw.Hops = append(sw.Hops, w.sym)
+			sw.Gaps = append(sw.Gaps, gap)
 			gap = false
 		}
-		w.Src = append(w.Src, src)
-		w.Dst = append(w.Dst, dst)
-		w.Reached = append(w.Reached, th.flags&1 != 0)
-		w.Ends = append(w.Ends, int32(len(w.Hops)))
+		sw.Src = append(sw.Src, w.src)
+		sw.Dst = append(sw.Dst, w.dst)
+		sw.Reached = append(sw.Reached, w.flags&1 != 0)
+		sw.Ends = append(sw.Ends, int32(len(sw.Hops)))
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d undecoded payload bytes", ErrCorruptSegment, len(b))
-	}
-	return nil
+	return w.end()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/segfault"
+	"repro/internal/symtab"
 )
 
 // TestNonMmapFallbackSeam replays a log through the buffered
@@ -459,32 +461,107 @@ func validLogBytes(t *testing.T) []byte {
 // decodeAll replays a log through both decoders (Next, then NextSyms
 // on a fresh reader) and returns the first error either reports.
 func decodeAll(path string) error {
+	next, syms := decodeEach(path)
+	if next != nil {
+		return next
+	}
+	return syms
+}
+
+// decodeEach replays a log through Next and, on a fresh reader, through
+// NextSyms, returning each decoder's first error.
+func decodeEach(path string) (next, syms error) {
+	var seg Segment
+	var w SymWindow
+	return replayWith(path, func(r *SegmentReader) (bool, error) { return r.Next(&seg) }),
+		replayWith(path, func(r *SegmentReader) (bool, error) { return r.NextSyms(&w) })
+}
+
+func replayWith(path string, next func(r *SegmentReader) (bool, error)) error {
 	r, err := OpenSegmentLog(path)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	var seg Segment
 	for {
-		ok, err := r.Next(&seg)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-	}
-	rs, err := OpenSegmentLog(path)
-	if err != nil {
-		return err
-	}
-	defer rs.Close()
-	var w SymWindow
-	for {
-		ok, err := rs.NextSyms(&w)
+		ok, err := next(r)
 		if err != nil || !ok {
 			return err
 		}
+	}
+}
+
+// TestDecodersRejectMalformedSymbols hand-builds CRC-valid one-window
+// logs whose trace body breaks a symbol rule Append keeps (endpoints
+// and responsive hops carry a nonzero in-range symbol, timeout hops
+// exactly 0) and requires Next and NextSyms alike to reject each one.
+func TestDecodersRejectMalformedSymbols(t *testing.T) {
+	// logOf frames one window of stage "s" holding one trace body, with
+	// local symbols 1 and 2 naming 10.0.0.1 and 10.0.0.2.
+	logOf := func(trace []byte) []byte {
+		p := binary.AppendUvarint(nil, 1)
+		p = append(p, 's')
+		p = binary.AppendUvarint(p, 1) // trace count
+		p = binary.AppendUvarint(p, 2) // symbol count
+		p = symtab.AppendRemap(p, []symtab.Sym{0, 1})
+		for _, a := range [][4]byte{{10, 0, 0, 1}, {10, 0, 0, 2}} {
+			p = binary.AppendUvarint(p, 4)
+			p = append(p, a[:]...)
+		}
+		p = append(p, trace...)
+		b := append([]byte(nil), segHeader[:]...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(p))
+		return append(b, p...)
+	}
+	type hop struct {
+		sym uint64
+		typ netsim.ReplyType
+	}
+	body := func(src, dst uint64, hops ...hop) []byte {
+		b := binary.AppendUvarint(nil, src)
+		b = binary.AppendUvarint(b, dst)
+		b = append(b, 1)                  // flags: reached
+		b = append(b, make([]byte, 7)...) // the seven ledger uvarints, all 0
+		b = binary.AppendUvarint(b, uint64(len(hops)))
+		for i, h := range hops {
+			b = binary.AppendUvarint(b, h.sym)
+			b = binary.AppendUvarint(b, uint64(i+1)) // TTL
+			b = binary.AppendUvarint(b, 1000)        // RTT
+			b = append(b, byte(h.typ), 60)
+		}
+		return b
+	}
+	resp, star := netsim.TTLExceeded, netsim.Timeout
+	decode := func(t *testing.T, trace []byte) (next, syms error) {
+		path := filepath.Join(t.TempDir(), "hand.seg")
+		if err := os.WriteFile(path, logOf(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return decodeEach(path)
+	}
+	if next, syms := decode(t, body(1, 2, hop{1, resp}, hop{0, star}, hop{2, netsim.EchoReply})); next != nil || syms != nil {
+		t.Fatalf("well-formed hand-built frame rejected: Next %v, NextSyms %v", next, syms)
+	}
+	for _, tc := range []struct {
+		name  string
+		trace []byte
+	}{
+		{"src-sym-0", body(0, 2)},
+		{"dst-sym-0", body(1, 0)},
+		{"src-sym-out-of-range", body(3, 2)},
+		{"dst-sym-out-of-range", body(1, 9)},
+		{"responsive-hop-sym-0", body(1, 2, hop{0, resp})},
+		{"responsive-hop-sym-out-of-range", body(1, 2, hop{3, resp})},
+		{"timeout-hop-sym-in-range", body(1, 2, hop{1, star})},
+		{"timeout-hop-sym-out-of-range", body(1, 2, hop{1, resp}, hop{7, star})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			next, syms := decode(t, tc.trace)
+			if !errors.Is(next, ErrCorruptSegment) || !errors.Is(syms, ErrCorruptSegment) {
+				t.Fatalf("Next %v, NextSyms %v; want ErrCorruptSegment from both", next, syms)
+			}
+		})
 	}
 }
 
@@ -554,10 +631,11 @@ func TestSegmentDecodeErrors(t *testing.T) {
 	})
 }
 
-// FuzzSegmentDecode asserts the decoder never panics or over-allocates
-// on arbitrary bytes — it must return a named error or decode cleanly —
-// and that recovery over the same bytes never panics and keeps only
-// windows that decode.
+// FuzzSegmentDecode asserts the decoders never panic or over-allocate
+// on arbitrary bytes — each must return a named error or decode
+// cleanly — that Next and NextSyms agree on every input (both accept
+// or both fail), and that recovery over the same bytes never panics
+// and keeps only windows that decode.
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
@@ -586,9 +664,14 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		err := decodeAll(path)
-		if err != nil && !errors.Is(err, ErrTruncatedSegment) && !errors.Is(err, ErrCorruptSegment) {
-			t.Fatalf("unnamed decode error: %v", err)
+		next, syms := decodeEach(path)
+		for _, err := range []error{next, syms} {
+			if err != nil && !errors.Is(err, ErrTruncatedSegment) && !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("unnamed decode error: %v", err)
+			}
+		}
+		if (next == nil) != (syms == nil) {
+			t.Fatalf("decoders disagree: Next %v, NextSyms %v", next, syms)
 		}
 		w, res, err := OpenDurableSegmentLog(path, "fp", noSyncFS{segfault.OS})
 		if err != nil {
