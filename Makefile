@@ -68,10 +68,13 @@ race-infer:
 # tests hold the flat shortest-path trees, the predecessor walk and the
 # egress-set MPLS pass to the incremental implementations they
 # replaced, and the ping test pins a ping series' allocations whatever
-# its length.
+# its length. The lookup reference tests hold a flow family to the
+# one-shot compile (and pin its walk at zero allocations), silent traces
+# to the probing loop they skip, the banded nearest-city index to the
+# city scan, and the per-attach region ranking to the insertion sort.
 equivalence:
-	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ ./internal/snapshot/ ./internal/ping/ -count=1 \
-		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs|TestAddrIDsStableAcrossWorkersAndWindows|TestArchiveInternsFirstSeen|TestSegmentWriterMatchesInterningReference|TestCompileFlowIntoAllocatesNothing|TestShortestPathsMatchReference|TestRouterPathMatchesReference|TestVisiblePathMatchesReference|TestPingAllocs'
+	$(GO) test ./internal/probesched/ ./internal/netsim/ ./internal/comap/ ./internal/snapshot/ ./internal/ping/ ./internal/traceroute/ ./internal/geo/ ./internal/topogen/ -count=1 \
+		-run 'TestFastPathMatchesGoldenDigest|TestZeroFaultPlanMatchesGoldenDigest|TestFlowProbeAllocatesNothing|TestCompileFlowAllocs|TestFindFalsePairsMatchesReference|TestServedAnswersMatchEncoder|TestServedAnswerAllocs|TestAddrIDsStableAcrossWorkersAndWindows|TestArchiveInternsFirstSeen|TestSegmentWriterMatchesInterningReference|TestCompileFlowIntoAllocatesNothing|TestShortestPathsMatchReference|TestRouterPathMatchesReference|TestVisiblePathMatchesReference|TestPingAllocs|TestFlowFamilyMatchesCompileFlowInto|TestFlowFamilyWalkAllocatesNothing|TestSilentTraceMatchesProbingLoop|TestNearestIndexMatchesScan|TestNearestIndexTieBreak|TestRankRegionsMatchesInsertionSort'
 
 # Graceful degradation: the faulted campaign must stay deterministic
 # across worker counts, account for every probe, and the chaos sweep's

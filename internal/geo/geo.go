@@ -116,15 +116,86 @@ func States() []string {
 
 // Nearest returns the database city closest to p.
 func Nearest(p Point) City {
-	best := usCities[0]
-	bestD := math.Inf(1)
-	for _, c := range usCities {
-		if d := DistanceKm(p, c.Point); d < bestD {
-			best, bestD = c, d
+	c, _ := NearestKm(p)
+	return c
+}
+
+// NearestKm returns the database city closest to p and its distance
+// DistanceKm(p, city.Point). Of cities at equal distance, the one
+// listed first in the database wins.
+func NearestKm(p Point) (City, float64) {
+	i, d := usNear.nearest(p)
+	return usCities[i], d
+}
+
+// nearIndex answers nearest-city queries over a city table without
+// computing a distance to every city. The great-circle distance between
+// two points is at least EarthRadiusKm times their latitude difference
+// in radians, so a query walks the cities outward from its own latitude,
+// closest latitude first, and stops once that bound alone exceeds the
+// best distance found.
+type nearIndex struct {
+	cities []City
+	order  []int     // indices into cities, by latitude, then table order
+	lat    []float64 // lat[i] is cities[order[i]]'s latitude in radians
+}
+
+// nearSlackKm absorbs the rounding of DistanceKm, whose result can fall
+// a few ulps below the exact latitude bound: without it a city at
+// exactly the best distance could be pruned and lose its tie-break.
+const nearSlackKm = 1e-6
+
+func newNearIndex(cities []City) *nearIndex {
+	const deg = math.Pi / 180
+	x := &nearIndex{cities: cities, order: make([]int, len(cities)), lat: make([]float64, len(cities))}
+	for i := range x.order {
+		x.order[i] = i
+	}
+	sort.SliceStable(x.order, func(a, b int) bool {
+		return cities[x.order[a]].Point.Lat < cities[x.order[b]].Point.Lat
+	})
+	for i, c := range x.order {
+		x.lat[i] = cities[c].Point.Lat * deg
+	}
+	return x
+}
+
+// nearest returns the index of the city closest to p and its distance:
+// the city a scan of the table in order keeps, the first one at the
+// least distance.
+func (x *nearIndex) nearest(p Point) (int, float64) {
+	const deg = math.Pi / 180
+	q := p.Lat * deg
+	// The latitude bound holds for latitudes on the globe; anything else
+	// walks every city.
+	prune := p.Lat >= -90 && p.Lat <= 90
+	best, bestD := 0, math.Inf(1)
+	hi := sort.SearchFloat64s(x.lat, q)
+	lo := hi - 1
+	for lo >= 0 || hi < len(x.lat) {
+		var k int
+		var dLat float64
+		if hi < len(x.lat) && (lo < 0 || x.lat[hi]-q <= q-x.lat[lo]) {
+			k, dLat = hi, x.lat[hi]-q
+			hi++
+		} else {
+			k, dLat = lo, q-x.lat[lo]
+			lo--
+		}
+		// Every city not yet visited lies at least dLat away in latitude.
+		if prune && EarthRadiusKm*dLat-nearSlackKm > bestD {
+			break
+		}
+		i := x.order[k]
+		if d := DistanceKm(p, x.cities[i].Point); d < bestD || (d == bestD && i < best) {
+			best, bestD = i, d
 		}
 	}
-	return best
+	return best, bestD
 }
+
+// usNear indexes the embedded database.
+var usNear = newNearIndex(usCities)
 
 // NearestState approximates the U.S. state containing p as the state of
 // the nearest database city. This is the same fidelity the paper gets

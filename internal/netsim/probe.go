@@ -275,35 +275,96 @@ func (n *Network) CompileFlow(src, dst netip.Addr, flowID uint16) Flow {
 // CompileFlowInto is CompileFlow writing the flow's path into buf
 // instead of fresh storage; a nil buf allocates fresh hops. The Flow
 // reads buf's hops on every probe, so it is valid until buf is compiled
-// into again.
+// into again. It is the two halves of a flow family in a row: resolve
+// the endpoints, then walk the path of flowID.
 func (n *Network) CompileFlowInto(buf *PathBuf, src, dst netip.Addr, flowID uint16) Flow {
-	f := Flow{net: n, src: src, dst: dst, flowID: flowID}
+	f := Flow{flowID: flowID}
+	if n.resolve(&f, src, dst) {
+		f.walk(buf)
+	}
+	return f
+}
+
+// resolve fills in the half of a flow that every flow ID between src
+// and dst shares: the endpoints, found through the host, interface and
+// FIB tables, and the hash prefixes. It reports whether both endpoints
+// resolved, so that the flow has a path to walk.
+func (n *Network) resolve(f *Flow, src, dst netip.Addr) bool {
+	f.net, f.src, f.dst = n, src, dst
 	srcHost, ok := n.hosts[src]
 	if !ok {
-		return f
+		return false
 	}
 	f.srcHost = srcHost
 	f.hash = newFlowHash(n.seed, src, dst)
 	kind, dstRouter, dHost, dIface := n.resolveDst(dst)
 	if kind == dstNone || dstRouter == nil {
-		return f
+		return false
 	}
 	f.kind = kind
 	f.dstRouter = dstRouter
 	f.dstHost = dHost
 	f.dstIface = dIface
+	return true
+}
+
+// walk fills in a resolved flow's visible path for its flow ID, written
+// into buf (nil allocates fresh hops). It reports whether the walk met
+// an ECMP branch point, the only place the flow ID is hashed.
+func (f *Flow) walk(buf *PathBuf) (branched bool) {
 	// The router walk is scratch (visiblePath copies what it keeps), so
 	// it lives on the stack unless the path is longer than 64 routers.
 	var stack [64]pathHop
-	path := n.routerPath(stack[:], srcHost.Router.ID, dstRouter.ID, flowID)
-	if path == nil {
-		return f
+	path, branched := f.net.routerPath(stack[:], f.srcHost.Router.ID, f.dstRouter.ID, f.flowID)
+	if path != nil {
+		if buf == nil {
+			buf = &PathBuf{}
+		}
+		buf.hops = visiblePath(buf.hops, path, f.kind == dstIface)
+		f.vis, f.reachable = buf.hops, true
 	}
-	if buf == nil {
-		buf = &PathBuf{}
+	return branched
+}
+
+// FlowFamily is a flow compile's per-(src, dst) half, resolved once for
+// every flow ID between one source and destination. A caller that sends
+// one probe per flow ID to one destination — a ping series, which lets
+// ECMP spread its probes — resolves the family once and then pays one
+// ECMP walk per flow. A family whose walk met no equal-cost branch point
+// keeps that path for every later flow ID without walking again:
+// routerPath hashes the flow ID only at branch points, so such a path
+// does not depend on it.
+//
+// Like a Flow, a family must not outlive a topology mutation.
+type FlowFamily struct {
+	flow Flow // the endpoints and hash, and the path once fixed
+	// fixed marks flow as complete for every flow ID: the endpoints do
+	// not resolve, the destination is unreachable, or a walk met no
+	// branch point.
+	fixed bool
+}
+
+// Resolve returns the flow family from src to dst: fam.FlowInto(buf, id)
+// then answers every probe exactly as CompileFlowInto(buf, src, dst, id)
+// does.
+func (n *Network) Resolve(src, dst netip.Addr) FlowFamily {
+	var fam FlowFamily
+	fam.fixed = !n.resolve(&fam.flow, src, dst)
+	return fam
+}
+
+// FlowInto returns the family's flow for one flow ID, walking its ECMP
+// path into buf (nil allocates fresh hops) unless the family's path is
+// fixed. A fixed path stays in the buffer of the walk that fixed it, so
+// a caller passes the same buf on every call, and the family, like its
+// Flows, is valid until something else is compiled into that buffer.
+func (fam *FlowFamily) FlowInto(buf *PathBuf, flowID uint16) Flow {
+	f := fam.flow
+	f.flowID = flowID
+	if !fam.fixed && !f.walk(buf) {
+		fam.flow.vis, fam.flow.reachable = f.vis, f.reachable
+		fam.fixed = true
 	}
-	buf.hops = visiblePath(buf.hops, path, kind == dstIface)
-	f.vis, f.reachable = buf.hops, true
 	return f
 }
 
@@ -321,6 +382,16 @@ func (f *Flow) HopsToDst() int {
 		h++
 	}
 	return h
+}
+
+// Silent reports whether every probe of the flow times out with no
+// drop cause whatever its TTL, time and sequence number, under the fault
+// plan installed now: its source is not a registered host, or its
+// destination does not resolve or cannot be reached and no fault plan
+// is active. While the plan stays installed, a caller may then use the
+// zero Reply in place of Probe.
+func (f *Flow) Silent() bool {
+	return f.srcHost == nil || (!f.reachable && !f.net.faults.Load().active())
 }
 
 // probe is one probe's own fields; the flow supplies the rest.

@@ -253,11 +253,14 @@ type pathHop struct {
 // routerPath fills buf with the routers a packet traverses from src to
 // dst, choosing among equal-cost alternatives with a hash of flowID so
 // equal flow IDs always take identical paths (Paris traceroute
-// invariant). Returns nil when dst is unreachable from src.
-func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []pathHop {
+// invariant). Returns nil when dst is unreachable from src. branched
+// reports whether the walk met a router with more than one equal-cost
+// predecessor, the only place flowID is hashed: a walk that did not
+// returns the same path for every flow ID.
+func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) (path []pathHop, branched bool) {
 	spt := n.shortestPaths(src)
 	if spt.dist[dst] == unreachable {
-		return nil
+		return nil, false
 	}
 	// Walk predecessors from dst back to src; the picks are pure
 	// functions of (seed, flowID, router), and the (seed, flowID)
@@ -271,6 +274,7 @@ func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []
 		k := spt.predOff[cur]
 		if m := spt.predOff[cur+1] - k; m > 1 {
 			k += int32(mixStep(fh, uint64(cur)) % uint64(m))
+			branched = true
 		}
 		// delay holds the link's own delay until the forward pass
 		// below accumulates it.
@@ -286,7 +290,7 @@ func (n *Network) routerPath(buf []pathHop, src, dst RouterID, flowID uint16) []
 	for i := 1; i < len(rev); i++ {
 		rev[i].delay += rev[i-1].delay
 	}
-	return rev
+	return rev, branched
 }
 
 // Reachable reports whether dst's serving router can be reached from

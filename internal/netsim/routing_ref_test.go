@@ -213,7 +213,7 @@ func RouterPathsMatchReference(n *Network, src RouterID, dsts []RouterID, flowID
 	ref := n.refShortestPaths(src)
 	for _, dst := range dsts {
 		for _, fid := range flowIDs {
-			got := n.routerPath(nil, src, dst, fid)
+			got, _ := n.routerPath(nil, src, dst, fid)
 			want := n.refRouterPath(ref, src, dst, fid)
 			if err := samePathHops(got, want, fmt.Sprintf("%d->%d flow %d", src, dst, fid)); err != nil {
 				return err
@@ -265,7 +265,7 @@ func VisiblePathsMatchReference(n *Network, src RouterID, dsts []RouterID, flowI
 }
 
 func visiblePathMatchesReference(n *Network, tunnels map[RouterID][]*refTunnel, src, dst RouterID, flowID uint16, vc *VisibleCase) error {
-	path := n.routerPath(nil, src, dst, flowID)
+	path, _ := n.routerPath(nil, src, dst, flowID)
 	if path == nil {
 		return nil
 	}
@@ -372,7 +372,8 @@ func RandomRoutingNet(seed int64, routers int) *Network {
 // flowID, nil when dst is unreachable.
 func PathRouters(n *Network, src, dst RouterID, flowID uint16) []RouterID {
 	var out []RouterID
-	for _, h := range n.routerPath(nil, src, dst, flowID) {
+	path, _ := n.routerPath(nil, src, dst, flowID)
+	for _, h := range path {
 		out = append(out, h.router.ID)
 	}
 	return out

@@ -94,10 +94,12 @@ func (p *Pinger) Ping(src, dst netip.Addr, count int) Series {
 	cfg.defaults()
 	var s Series
 	// Every probe is its own flow (pings are not Paris; ECMP spreads
-	// them), compiled into one buffer the series reuses.
+	// them): the series resolves its flow family once, and each probe
+	// walks its own path into one buffer the series reuses.
+	fam := cfg.Net.Resolve(src, dst)
 	var path netsim.PathBuf
 	for i := 0; i < count; i++ {
-		flow := cfg.Net.CompileFlowInto(&path, src, dst, uint16(i))
+		flow := fam.FlowInto(&path, uint16(i))
 		r := flow.Probe(cfg.Clock.Now(), 64, netsim.ICMPEcho, uint32(i))
 		s.Sent++
 		if r.Type == netsim.EchoReply {

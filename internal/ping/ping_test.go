@@ -12,7 +12,7 @@ import (
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-func testNet(t *testing.T) (*netsim.Network, *netsim.Host, *netsim.Host, []*netsim.Router) {
+func testNet(t testing.TB) (*netsim.Network, *netsim.Host, *netsim.Host, []*netsim.Router) {
 	t.Helper()
 	net := netsim.New(23)
 	rs := make([]*netsim.Router, 4)
@@ -115,8 +115,8 @@ func TestPingAdvancesClock(t *testing.T) {
 
 // TestPingAllocs pins a series' allocations whatever its length: the
 // RTT slice, sized at the first reply, and the hop storage of the one
-// path buffer every probe's flow compiles into. A compile per probe
-// allocates nothing once that buffer has grown.
+// path buffer every probe's flow walks into. A walk per probe allocates
+// nothing once that buffer has grown.
 func TestPingAllocs(t *testing.T) {
 	net, vp, tgt, _ := testNet(t)
 	p := &Pinger{Net: net, Clock: clock()}
@@ -129,5 +129,20 @@ func TestPingAllocs(t *testing.T) {
 		if allocs != 2 {
 			t.Errorf("Ping of %d probes allocates %v times, want 2 (RTT slice and path buffer)", n, allocs)
 		}
+	}
+}
+
+var seriesSink Series
+
+// BenchmarkPingSeries measures a 100-probe echo series, the unit of the
+// cloud-latency figures: one flow family resolved per series, one path
+// walk per probe.
+func BenchmarkPingSeries(b *testing.B) {
+	net, vp, tgt, _ := testNet(b)
+	p := &Pinger{Net: net, Clock: clock()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seriesSink = p.Ping(vp.Addr, tgt.Addr, 100)
 	}
 }

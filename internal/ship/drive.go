@@ -39,8 +39,9 @@ func Drive(net *netsim.Network, dns *dnsdb.DB, clock *vclock.Clock, modem *topog
 		sample := DriveSample{Loc: loc, UserAddr: att.UserAddr}
 		for _, tgt := range targets {
 			var best time.Duration
+			fam := net.Resolve(att.Host.Addr, tgt.Addr)
 			for seq := 0; seq < 3; seq++ {
-				flow := net.CompileFlowInto(&path, att.Host.Addr, tgt.Addr, uint16(seq))
+				flow := fam.FlowInto(&path, uint16(seq))
 				r := flow.Probe(clock.Now(), 40, netsim.ICMPEcho, uint32(seq))
 				if r.Type != netsim.EchoReply {
 					continue

@@ -7,6 +7,7 @@ package ship
 
 import (
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/cellgeo"
@@ -178,9 +179,10 @@ func (c *Campaign) round(loc geo.Point) Round {
 	}
 	if c.Server.IsValid() {
 		best := time.Duration(0)
+		fam := c.Net.Resolve(att.Host.Addr, c.Server)
 		var path netsim.PathBuf
 		for seq := 0; seq < 4; seq++ {
-			flow := c.Net.CompileFlowInto(&path, att.Host.Addr, c.Server, uint16(seq))
+			flow := fam.FlowInto(&path, uint16(seq))
 			reply := flow.Probe(c.Clock.Now(), 40, netsim.ICMPEcho, uint32(seq))
 			r.Stats.Observe(reply.Type != netsim.Timeout,
 				reply.Outcome() == netsim.OutcomeRateLimited, false)
@@ -202,8 +204,7 @@ func (c *Campaign) round(loc geo.Point) Round {
 func (c *Campaign) hasSignal(loc geo.Point) bool {
 	p := c.SignalProb
 	if p == 0 {
-		nearest := geo.Nearest(loc)
-		d := geo.DistanceKm(loc, nearest.Point)
+		_, d := geo.NearestKm(loc)
 		switch {
 		case d < 60:
 			p = 0.93
@@ -253,7 +254,7 @@ func StatesCovered(rounds []Round) []string {
 	for s := range seen {
 		out = append(out, s)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -301,12 +302,4 @@ func LatencyMap(rounds []Round, hexSizeDeg float64) []geo.HexValue {
 		agg.Add(r.TowerLoc, float64(r.MinRTT)/float64(time.Millisecond))
 	}
 	return agg.Results()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }

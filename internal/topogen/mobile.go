@@ -1,8 +1,10 @@
 package topogen
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -388,28 +390,25 @@ func (s *Scenario) BuildMobileCarrier(p MobileProfile) *MobileCarrier {
 	return c
 }
 
-// NearestRegion returns the region whose EdgeCO is closest to p — the
-// site a phone at p registers with.
-func (c *MobileCarrier) NearestRegion(p geo.Point) *MobileRegion {
-	return c.nearestRegions(p, 1)[0]
-}
-
-// nearestRegions returns the k regions closest to p, nearest first.
-func (c *MobileCarrier) nearestRegions(p geo.Point, k int) []*MobileRegion {
-	regs := append([]*MobileRegion(nil), c.Regions...)
-	sortRegionsByDistance(regs, p)
-	if k > len(regs) {
-		k = len(regs)
+// rankRegions returns the carrier's regions by distance from p, nearest
+// first; regions at equal distance keep their order in c.Regions. The
+// first is the site a phone at p registers with. Each region's distance
+// is computed once, not once per comparison.
+func (c *MobileCarrier) rankRegions(p geo.Point) []*MobileRegion {
+	type ranked struct {
+		reg *MobileRegion
+		km  float64
 	}
-	return regs[:k]
-}
-
-func sortRegionsByDistance(regs []*MobileRegion, p geo.Point) {
-	for i := 1; i < len(regs); i++ {
-		for j := i; j > 0 && geo.DistanceKm(p, regs[j-1].City.Point) > geo.DistanceKm(p, regs[j].City.Point); j-- {
-			regs[j-1], regs[j] = regs[j], regs[j-1]
-		}
+	rs := make([]ranked, len(c.Regions))
+	for i, r := range c.Regions {
+		rs[i] = ranked{r, geo.DistanceKm(p, r.City.Point)}
 	}
+	slices.SortStableFunc(rs, func(a, b ranked) int { return cmp.Compare(a.km, b.km) })
+	regs := make([]*MobileRegion, len(rs))
+	for i, r := range rs {
+		regs[i] = r.reg
+	}
+	return regs
 }
 
 // Attachment is one registration of a phone with the packet core.
@@ -440,12 +439,12 @@ func (m *Modem) Attach(at geo.Point) Attachment {
 	c := m.Carrier
 	s := c.scenario
 	p := c.Profile
-	reg := c.NearestRegion(at)
+	regs := c.rankRegions(at)
+	reg := regs[0]
 	if k := p.AttachNearestK; k > 1 {
-		regs := c.nearestRegions(at, k)
-		reg = regs[m.cycles%len(regs)]
+		reg = regs[m.cycles%min(k, len(regs))]
 	} else if p.SwitchProb > 0 && s.rng.Float64() < p.SwitchProb {
-		if regs := c.nearestRegions(at, 2); len(regs) == 2 && regs[1].Backbone == regs[0].Backbone {
+		if len(regs) >= 2 && regs[1].Backbone == regs[0].Backbone {
 			reg = regs[1]
 		}
 	}

@@ -1,6 +1,7 @@
 package topogen
 
 import (
+	"math/rand"
 	"net/netip"
 	"regexp"
 	"testing"
@@ -289,6 +290,43 @@ func TestInCarrierPathsCoincide(t *testing.T) {
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Errorf("in-carrier hop %d differs: %v vs %v", i, h1[i], h2[i])
+		}
+	}
+}
+
+// sortRegionsByDistance is the retired region ranking: an insertion sort
+// computing both regions' distances on every comparison. rankRegions
+// must order the regions exactly as it does, ties included.
+func sortRegionsByDistance(regs []*MobileRegion, p geo.Point) {
+	for i := 1; i < len(regs); i++ {
+		for j := i; j > 0 && geo.DistanceKm(p, regs[j-1].City.Point) > geo.DistanceKm(p, regs[j].City.Point); j-- {
+			regs[j-1], regs[j] = regs[j], regs[j-1]
+		}
+	}
+}
+
+func TestRankRegionsMatchesInsertionSort(t *testing.T) {
+	f := getMobile(t)
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []*MobileCarrier{f.att, f.vz, f.tmo} {
+		pts := make([]geo.Point, 0, 1000+len(c.Regions))
+		for i := 0; i < 1000; i++ {
+			pts = append(pts, geo.Point{Lat: 18 + rng.Float64()*50, Lon: -160 + rng.Float64()*95})
+		}
+		// Points on the regions' own cities put distance ties first.
+		for _, r := range c.Regions {
+			pts = append(pts, r.City.Point)
+		}
+		for _, p := range pts {
+			want := append([]*MobileRegion(nil), c.Regions...)
+			sortRegionsByDistance(want, p)
+			got := c.rankRegions(p)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s at %v: rank %d is %s, insertion sort has %s",
+						c.Profile.Name, p, i, got[i].Spec.Name, want[i].Spec.Name)
+				}
+			}
 		}
 	}
 }

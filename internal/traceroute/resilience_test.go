@@ -1,6 +1,8 @@
 package traceroute
 
 import (
+	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -141,6 +143,64 @@ func TestZeroResilienceTraceBitIdentical(t *testing.T) {
 	for i := range a.Hops {
 		if a.Hops[i] != b.Hops[i] {
 			t.Errorf("hop %d differs: %+v vs %+v", i, a.Hops[i], b.Hops[i])
+		}
+	}
+}
+
+// TestSilentTraceMatchesProbingLoop holds the silent-flow shortcut to
+// the probing loop it skips. Toward an unresolvable destination under an
+// active fault plan that acts only at routers, a trace is not silent: it
+// calls Flow.Probe for every probe, and each reply is the zero Reply.
+// Silent traces never call it — toward the same destination with no
+// plan, and from an unregistered source with or without a plan — and
+// must match that trace in hop rows, ledger, active time and virtual
+// clock, in both modes, with retries, backoff and probe budgets.
+func TestSilentTraceMatchesProbingLoop(t *testing.T) {
+	net, vp, tgt, _ := testNet(t, 4)
+	nowhere := addr("203.0.113.9")
+	stranger := addr("192.0.2.200")
+	routerFaults := netsim.FaultPlan{Seed: 3, LinkLoss: 0.2, ICMPRate: 2, BlackoutFrac: 0.5, SilentFrac: 0.5}
+	churn := netsim.FaultPlan{Seed: 3, VPChurnFrac: 1, VPOfflineFrac: 1, OfflineVPs: []netip.Addr{stranger}}
+	run := func(cfg Engine, plan netsim.FaultPlan, src, dst netip.Addr, wantSilent bool) (Trace, time.Duration) {
+		t.Helper()
+		net.SetFaultPlan(plan)
+		if f := net.CompileFlow(src, dst, 0); f.Silent() != wantSilent {
+			t.Fatalf("%v->%v under %v: Silent() = %v, want %v", src, dst, plan, f.Silent(), wantSilent)
+		}
+		clk := start()
+		t0 := clk.Now()
+		cfg.Net, cfg.Clock = net, clk
+		tr := cfg.Trace(src, dst)
+		tr.Src, tr.Dst, tr.FlowID = netip.Addr{}, netip.Addr{}, 0
+		return tr, clk.Since(t0)
+	}
+	for _, cfg := range []Engine{
+		{Mode: Sequential},
+		{Mode: Parallel},
+		{Mode: Sequential, Attempts: 3, RetryBackoff: 250 * time.Millisecond},
+		{Mode: Parallel, Attempts: 3, RetryBackoff: 250 * time.Millisecond},
+		{Mode: Sequential, Attempts: 3, ProbeBudget: 7},
+		{Mode: Parallel, Attempts: 3, ProbeBudget: 7, Window: 3},
+		{Mode: Parallel, Window: 3, GapLimit: 7, MaxTTL: 12},
+	} {
+		want, wantElapsed := run(cfg, routerFaults, vp.Addr, nowhere, false)
+		if want.Probes == 0 || want.Lost != want.Probes {
+			t.Fatalf("%+v: reference trace sent %d probes, lost %d", cfg, want.Probes, want.Lost)
+		}
+		for _, c := range []struct {
+			plan     netsim.FaultPlan
+			src, dst netip.Addr
+		}{
+			{netsim.FaultPlan{}, vp.Addr, nowhere},
+			{netsim.FaultPlan{}, stranger, tgt.Addr},
+			{routerFaults, stranger, nowhere},
+			{churn, stranger, tgt.Addr},
+		} {
+			got, elapsed := run(cfg, c.plan, c.src, c.dst, true)
+			if !reflect.DeepEqual(got, want) || elapsed != wantElapsed {
+				t.Errorf("%+v, %v->%v under %v: silent trace %+v after %v, probing loop %+v after %v",
+					cfg, c.src, c.dst, c.plan, got, elapsed, want, wantElapsed)
+			}
 		}
 	}
 }

@@ -451,6 +451,7 @@ func (e *Engine) traceSequential(src, dst netip.Addr) Trace {
 	if e.cols == nil {
 		tr.Hops = e.takeHops(&flow)
 	}
+	silent := flow.Silent()
 	gap := 0
 	var seq uint32
 	for ttl := 1; ttl <= e.MaxTTL; ttl++ {
@@ -467,7 +468,10 @@ func (e *Engine) traceSequential(src, dst netip.Addr) Trace {
 				break
 			}
 			seq++
-			r := flow.Probe(e.Clock.Now(), uint8(ttl), e.Proto, seq)
+			var r netsim.Reply // a silent flow's every reply
+			if !silent {
+				r = flow.Probe(e.Clock.Now(), uint8(ttl), e.Proto, seq)
+			}
 			tr.Probes++
 			tr.observe(r, att > 0)
 			if r.Type == netsim.Timeout {
@@ -513,6 +517,7 @@ func (e *Engine) traceParallel(src, dst netip.Addr) Trace {
 	if e.cols == nil {
 		tr.Hops = e.takeHops(&flow)
 	}
+	silent := flow.Silent()
 	// burstHops is scratch for the in-flight burst, reused across
 	// bursts; rows are copied into tr.Hops before the next reset.
 	burstHops := make([]Hop, 0, e.Window)
@@ -539,7 +544,10 @@ func (e *Engine) traceParallel(src, dst netip.Addr) Trace {
 					break
 				}
 				seq++
-				r := flow.Probe(e.Clock.Now(), uint8(ttl), e.Proto, seq)
+				var r netsim.Reply // a silent flow's every reply
+				if !silent {
+					r = flow.Probe(e.Clock.Now(), uint8(ttl), e.Proto, seq)
+				}
 				tr.Probes++
 				tr.observe(r, att > 0)
 				if r.Type == netsim.Timeout {
